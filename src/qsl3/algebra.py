@@ -9,6 +9,7 @@ both induced from the grading.
 Generator symbols are the integers 1, 2, -1, -2.
 """
 
+import math
 from fractions import Fraction
 
 from .exact import CycNum, i_power
@@ -71,10 +72,6 @@ class WeightRep:
         x = killing(gamma, lam)
         return i_power(-x if inverse else x, self.order)
 
-    def h_scalar(self, j, lam):
-        """Eigenvalue of H_j on V(lam)."""
-        return lam.c1 if j == 1 else lam.c2
-
     def block(self, g, lam):
         return self.blocks.get(g, {}).get(lam)
 
@@ -112,23 +109,6 @@ class WeightRep:
                     cols[soff + j] = ent
         self._colmaps[g] = cols
         return cols
-
-    def global_matrix(self, g):
-        z = self.zero()
-        m = [[z] * self.dim for _ in range(self.dim)]
-        for src, ent in self.columns(g).items():
-            for dst, c in ent:
-                m[dst][src] = c
-        return m
-
-    def apply_global(self, g, vec):
-        z = self.zero()
-        out = [z] * self.dim
-        for src, x in enumerate(vec):
-            if x:
-                for dst, c in self.columns(g).get(src, ()):
-                    out[dst] = out[dst] + c * x
-        return out
 
     def character(self):
         from .repmod import Character
@@ -170,24 +150,6 @@ class WeightRep:
             mat = b if mat is None else mat_mul(b, mat)
             cur = cur + gen_shift(g)
         return mat
-
-
-def root_vectors(rep):
-    """The blocks of X3 = -X1X2 - iX2X1 and X-3 = -X-2X-1 + iX-1X-2."""
-    ii = i_power(1, rep.order)
-    x3, xm3 = {}, {}
-    for lam in rep.weights_sorted():
-        a = rep.compose_blocks((1, 2), lam)
-        b = rep.compose_blocks((2, 1), lam)
-        blk = _comb(a, -1, b, -ii)
-        if blk is not None:
-            x3[lam] = blk
-        a = rep.compose_blocks((-2, -1), lam)
-        b = rep.compose_blocks((-1, -2), lam)
-        blk = _comb(a, -1, b, ii)
-        if blk is not None:
-            xm3[lam] = blk
-    return x3, xm3
 
 
 def _comb(a, ca, b, cb):
@@ -272,7 +234,7 @@ def tensor_action(a, b):
     X_j -> X_j (x) K_j + 1 (x) X_j,   X_-j -> X_-j (x) 1 + K_j^-1 (x) X_-j.
     """
     if a.order != b.order:
-        m = a.order * b.order // __import__("math").gcd(a.order, b.order)
+        m = math.lcm(a.order, b.order)
         a, b = a.embed(m), b.embed(m)
     order = a.order
     pairs = {}  # weight -> ordered list of (ia, ib)
@@ -371,7 +333,7 @@ def omega_tilde_rep(rep):
 def direct_sum(a, b):
     """A (+) B with A's basis first inside every weight block."""
     if a.order != b.order:
-        m = a.order * b.order // __import__("math").gcd(a.order, b.order)
+        m = math.lcm(a.order, b.order)
         a, b = a.embed(m), b.embed(m)
     dims = dict(a.dims)
     for lam, d in b.dims.items():
@@ -405,23 +367,38 @@ def direct_sum(a, b):
 # -- submodules and quotients -----------------------------------------
 
 
-def express_in_basis(basis_rows, vec, zero):
-    """Coordinates x with sum x_i basis_rows[i] = vec, or None."""
-    if not basis_rows:
-        return None if any(vec) else []
-    n = len(vec)
-    rows = [[basis_rows[i][j] for i in range(len(basis_rows))] for j in range(n)]
-    from .linalg import solve
+def graded_echelons(rep, sub):
+    """{lam: Echelon of the vectors sub[lam]} for every weight where they
+    span a nonzero space; sub is a graded subspace {Weight: [block vectors]}."""
+    out = {}
+    for lam, vecs in sub.items():
+        e = Echelon(rep.dims[lam])
+        for v in vecs:
+            e.add(v)
+        if e.rank:
+            out[lam] = e
+    return out
 
-    x = solve(rows, list(vec))
-    if x is None:
-        return None
-    # verify (solve ignores inconsistency among free columns)
-    for j in range(n):
+
+def echelon_basis(rep, sub):
+    """The graded subspace sub with each weight's vectors replaced by the
+    reduced echelon basis of their span, empty weights dropped."""
+    return {lam: e.basis() for lam, e in graded_echelons(rep, sub).items()}
+
+
+def express_in_basis(basis_rows, vec, zero):
+    """Coordinates x with sum x_i basis_rows[i] = vec, or None.
+
+    basis_rows must be a reduced echelon basis (Echelon.basis()), so the
+    coordinate on a row is the entry of vec at that row's pivot.
+    """
+    x = [vec[next(j for j, c in enumerate(row) if c)] for row in basis_rows]
+    for j, want in enumerate(vec):
         acc = zero
-        for i, xi in enumerate(x):
-            acc = acc + xi * basis_rows[i][j]
-        if acc != vec[j]:
+        for xi, row in zip(x, basis_rows):
+            if xi and row[j]:
+                acc = acc + xi * row[j]
+        if acc != want:
             return None
     return x
 
@@ -434,14 +411,7 @@ def sub_rep(rep, sub_basis):
     chosen (echelonized) block vectors giving the sub-rep coordinates.
     """
     z = rep.zero()
-    ech = {}
-    for lam, vecs in sub_basis.items():
-        e = Echelon(rep.dims[lam])
-        for v in vecs:
-            e.add(list(v))
-        if e.rank:
-            ech[lam] = e
-    basis = {lam: e.basis() for lam, e in ech.items()}
+    basis = echelon_basis(rep, sub_basis)
     dims = {lam: len(b) for lam, b in basis.items()}
     blocks = {g: {} for g in GENS}
     for g in GENS:
@@ -480,12 +450,7 @@ def quotient_rep(rep, sub_basis):
     non-pivot coordinates of each weight block).
     """
     z = rep.zero()
-    ech = {}
-    for lam, vecs in sub_basis.items():
-        e = Echelon(rep.dims[lam])
-        for v in vecs:
-            e.add(list(v))
-        ech[lam] = e
+    ech = graded_echelons(rep, sub_basis)
     free = {}
     for lam in rep.weights_sorted():
         piv = set(ech[lam].pivots) if lam in ech else set()

@@ -21,6 +21,10 @@ class DivisionByZero(ZeroDivisionError):
     """Raised on inversion of the zero field element."""
 
 
+class InternalInconsistency(Exception):
+    """An exact computation produced structurally impossible data."""
+
+
 def parse_rat(s):
     """Parse "p/q" or "p" into a Fraction."""
     return Fraction(s.strip())
@@ -246,8 +250,9 @@ class CycNum:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- comparison / display -----------------------------------------
@@ -342,23 +347,6 @@ def _reduce(raw, order, deg):
             for j in range(deg):
                 out[j] += c * row[j]
     return tuple(out)
-
-
-def cyc_arith(a, b, op):
-    """Dispatch form of the field arithmetic; op in {"add", "mul", "inv"}."""
-    if op == "add":
-        return _require_same_order(a, b) or a + b
-    if op == "mul":
-        return _require_same_order(a, b) or a * b
-    if op == "inv":
-        return a.inv()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def _require_same_order(a, b):
-    if isinstance(a, CycNum) and isinstance(b, CycNum) and a.order != b.order:
-        raise FieldMismatch(f"orders {a.order} and {b.order} differ; embed first")
-    return None
 
 
 def i_power(x, order):

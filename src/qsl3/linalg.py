@@ -27,85 +27,62 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if x and y:
-                p = x * y
-                acc = p if acc is None else acc + p
-        out.append(_zero_like(v[0]) if acc is None else acc)
-    return out
-
-
 def _zero_like(x):
     return x - x if not isinstance(x, (int, Fraction)) else Fraction(0)
 
 
-def identity(n, one=Fraction(1)):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 class Echelon:
-    """Incremental reduced row echelon form.
+    """Incremental reduced row echelon form, the one elimination engine.
 
+    A vector may carry a tail: entries past `ncols` that are reduced,
+    scaled and back-substituted with the row but never chosen as a pivot.
     add(vec) reduces vec against the current rows; if a nonzero residue
-    remains it is normalised, inserted, and True is returned.  residue(vec)
-    returns the reduction without inserting.
+    remains in its first `ncols` entries it is normalised, inserted, and
+    True is returned.  Otherwise False is returned, and a nonzero residual
+    tail (a linear relation the tails must satisfy) is appended to
+    `relations`.  residue(vec) returns the reduction without inserting.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
         self.rows = []          # reduced rows, pivot normalised to 1
-        self.pivots = []        # pivot column of each row, increasing? no: insertion order
+        self.pivots = []        # pivot column of each row, in insertion order
+        self.relations = []     # residual tails of vectors that were not inserted
 
     def residue(self, vec):
         vec = list(vec)
         for row, p in zip(self.rows, self.pivots):
             c = vec[p]
             if c:
-                for j in range(self.ncols):
-                    if row[j]:
-                        vec[j] = vec[j] - c * row[j]
+                for j, x in enumerate(row):
+                    if x:
+                        vec[j] = vec[j] - c * x
         return vec
-
-    def residue_tracked(self, vec, tail):
-        """Reduce (vec | tail) against rows carrying tails of their own."""
-        vec = list(vec)
-        tail = list(tail)
-        for (row, rtail), p in zip(self.rows_tailed, self.pivots):
-            c = vec[p]
-            if c:
-                for j in range(self.ncols):
-                    if row[j]:
-                        vec[j] = vec[j] - c * row[j]
-                for j in range(len(tail)):
-                    if rtail[j]:
-                        tail[j] = tail[j] - c * rtail[j]
-        return vec, tail
 
     def add(self, vec):
         vec = self.residue(vec)
-        p = _first_nonzero(vec)
+        p = _first_nonzero(vec, self.ncols)
         if p is None:
+            tail = vec[self.ncols :]
+            if any(tail):
+                self.relations.append(tail)
             return False
-        inv = vec[p] ** -1 if not isinstance(vec[p], (int, Fraction)) else Fraction(1) / vec[p]
+        c = vec[p]
+        inv = Fraction(1) / c if isinstance(c, (int, Fraction)) else c.inv()
         vec = [x * inv for x in vec]
         # back-substitute into existing rows
         for row in self.rows:
             c = row[p]
             if c:
-                for j in range(self.ncols):
-                    if vec[j]:
-                        row[j] = row[j] - c * vec[j]
+                for j, x in enumerate(vec):
+                    if x:
+                        row[j] = row[j] - c * x
         self.rows.append(vec)
         self.pivots.append(p)
         return True
 
     def contains(self, vec):
-        return _first_nonzero(self.residue(vec)) is None
+        return _first_nonzero(self.residue(vec), self.ncols) is None
 
     @property
     def rank(self):
@@ -116,9 +93,9 @@ class Echelon:
         return [list(self.rows[k]) for k in order]
 
 
-def _first_nonzero(vec):
-    for j, x in enumerate(vec):
-        if x:
+def _first_nonzero(vec, end):
+    for j in range(end):
+        if vec[j]:
             return j
     return None
 
@@ -153,51 +130,6 @@ def nullspace(rows, ncols):
     return basis
 
 
-def solve(rows, rhs):
-    """One solution x of M x = rhs, or None.  rows are the rows of M."""
-    ncols = len(rows[0]) if rows else 0
-    ech = Echelon(ncols + 1)
-    for r, b in zip(rows, rhs):
-        ech.add(list(r) + [b])
-    zero = _zero_like(rhs[0]) if rhs else Fraction(0)
-    x = [zero] * ncols
-    for p, row in zip(ech.pivots, ech.rows):
-        if p == ncols:
-            return None  # inconsistent
-        x[p] = row[ncols]
-    # the free variables stay zero; verify (guards nonreduced input)
-    return x
-
-
-def span_intersection(basis_a, basis_b, ncols):
-    """Basis of span(basis_a) & span(basis_b)."""
-    if not basis_a or not basis_b:
-        return []
-    # kernel of [A^T | B^T] stacked as columns: combos c with A^T ca = B^T cb
-    na, nb = len(basis_a), len(basis_b)
-    rows = []
-    for j in range(ncols):
-        rows.append([basis_a[k][j] for k in range(na)] + [-basis_b[k][j] for k in range(nb)])
-    out = []
-    for v in nullspace(rows, na + nb):
-        vec = None
-        for c, bv in zip(v[:na], basis_a):
-            term = [c * x for x in bv]
-            vec = term if vec is None else [a + b for a, b in zip(vec, term)]
-        out.append(vec)
-    ech = Echelon(ncols)
-    res = []
-    for v in out:
-        if ech.add(list(v)):
-            pass
-    return ech.basis()
-
-
-def is_invertible(square_rows):
-    n = len(square_rows)
-    return rank(square_rows, n) == n
-
-
 def invert(square_rows):
     """Inverse matrix, or None if singular."""
     n = len(square_rows)
@@ -205,11 +137,10 @@ def invert(square_rows):
         return []
     zero = _zero_like(square_rows[0][0])
     one = zero + 1 if not isinstance(zero, Fraction) else Fraction(1)
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(square_rows)]
-    ech = Echelon(2 * n)
-    for r in aug:
-        ech.add(r)
-    if sorted(ech.pivots)[:n] != list(range(n)):
+    ech = Echelon(n)  # the identity rides along as the tail
+    for i, r in enumerate(square_rows):
+        ech.add(list(r) + [one if i == j else zero for j in range(n)])
+    if ech.rank < n:
         return None
     inv = [None] * n
     for p, row in zip(ech.pivots, ech.rows):

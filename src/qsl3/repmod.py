@@ -7,10 +7,11 @@ the rewriting rules a^2 = b^2 = 0 and baba = abab; raising operators are
 pushed through a word with the commutator relation.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import CycNum, Rat, field_order_for, fmt_rat, i_power
+from .exact import CycNum, InternalInconsistency, field_order_for, fmt_rat, i_power
 from .linalg import Echelon, invert, mat_mul, nullspace
 from .weights import (
     ALPHA,
@@ -19,10 +20,9 @@ from .weights import (
     ALPHA3,
     Weight,
     classify,
-    indices,
     killing,
 )
-from .algebra import GENS, WeightRep, express_in_basis, gen_shift
+from .algebra import GENS, WeightRep, gen_shift
 
 # the eight reduced lowering words (letters name the simple root lowered)
 WORDS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1), (2, 1, 2), (1, 2, 1, 2))
@@ -395,172 +395,122 @@ def hom_space(a, b):
 
     Spinning with parametric images: the images of a generating set of A
     are unknowns; spinning A while propagating parametric images yields
-    linear constraints whose solutions are the intertwiners.
+    linear constraints whose solutions are the intertwiners.  Each weight
+    space of A is spun in one Echelon whose rows carry, as their tail, the
+    parametric image in B: a dimB(lam) x unknowns matrix, flattened.
     """
     if a.order != b.order:
-        m = a.order * b.order // __import__("math").gcd(a.order, b.order)
+        m = math.lcm(a.order, b.order)
         a, b = a.embed(m), b.embed(m)
     zero, one = a.zero(), a.one()
     gens = generating_indices(a)
-    slots = []  # unknown u_t = coefficient of b-basis vector slot[t] in image of its gen
-    gen_tail = []
-    for gi, (lam, k) in enumerate(gens):
-        db = b.dims.get(lam, 0)
-        start = len(slots)
-        slots.extend((lam, j) for j in range(db))
-        gen_tail.append((lam, k, start, db))
-    nu_unknown = len(slots)
-
-    # per-weight echelon over (a-part | tail matrix rows flattened)
-    class Row:
-        __slots__ = ("avec", "tail")
-
-        def __init__(self, avec, tail):
-            self.avec = avec
-            self.tail = tail  # dimB(lam) x nu matrix
-
-    ech = {lam: [] for lam in a.dims}  # list of (pivot, Row)
+    nu = sum(b.dims.get(lam, 0) for lam, _ in gens)  # unknowns
+    ech = {lam: Echelon(d) for lam, d in a.dims.items()}
     constraints = []
-
-    def reduce_insert(lam, avec, tail):
-        avec = list(avec)
-        tail = [list(r) for r in tail]
-        for p, row in ech[lam]:
-            c = avec[p]
-            if c:
-                for j in range(len(avec)):
-                    if row.avec[j]:
-                        avec[j] = avec[j] - c * row.avec[j]
-                for r in range(len(tail)):
-                    tr = row.tail[r]
-                    for t in range(nu_unknown):
-                        if tr[t]:
-                            tail[r][t] = tail[r][t] - c * tr[t]
-        piv = next((j for j, x in enumerate(avec) if x), None)
-        if piv is None:
-            for r in tail:
-                if any(r):
-                    constraints.append(list(r))
-            return None
-        inv = avec[piv].inv()
-        avec = [x * inv for x in avec]
-        tail = [[x * inv for x in r] for r in tail]
-        # back-substitute to keep the block in reduced echelon form
-        for _, row in ech[lam]:
-            c = row.avec[piv]
-            if c:
-                for j in range(len(avec)):
-                    if avec[j]:
-                        row.avec[j] = row.avec[j] - c * avec[j]
-                for r in range(len(tail)):
-                    for t in range(nu_unknown):
-                        if tail[r][t]:
-                            row.tail[r][t] = row.tail[r][t] - c * tail[r][t]
-        row = Row(avec, tail)
-        ech[lam].append((piv, row))
-        return (lam, row)
-
     queue = []
-    for lam, k, start, db in gen_tail:
-        avec = [zero] * a.dims[lam]
-        avec[k] = one
-        tail = [[zero] * nu_unknown for _ in range(db)]
+
+    def insert(lam, vec):
+        e = ech[lam]
+        if e.add(vec):
+            queue.append((lam, e.rows[-1]))
+
+    start = 0
+    for lam, k in gens:
+        # unknown start + j is the coefficient of B(lam)'s j-th basis vector
+        # in the image of this generator
+        da, db = a.dims[lam], b.dims.get(lam, 0)
+        vec = [zero] * (da + db * nu)
+        vec[k] = one
         for j in range(db):
-            tail[j][start + j] = one
-        ins = reduce_insert(lam, avec, tail)
-        if ins:
-            queue.append(ins)
+            vec[da + j * nu + start + j] = one
+        insert(lam, vec)
+        start += db
     while queue:
-        lam, row = queue.pop()
+        lam, row = queue.pop()  # a live row: later back-substitution updates it
+        da = a.dims[lam]
+        head, image = row[:da], row[da:]
         for g in GENS:
-            img = a.apply_block(g, lam, row.avec)
+            tail = _apply_tail(b, g, lam, image, nu)
+            img = a.apply_block(g, lam, head)
             if img is None:
-                # image of the mapped vector must also die in B
-                mu = lam + gen_shift(g)
-                bt = _apply_tail(b, g, lam, row.tail)
-                if bt is not None:
-                    for r in bt:
-                        if any(r):
-                            constraints.append(list(r))
+                # the image of the mapped vector must also die in B
+                if tail is not None:
+                    constraints.extend(_rows(tail, nu))
                 continue
             mu, avec = img
-            bt = _apply_tail(b, g, lam, row.tail)
-            db = b.dims.get(mu, 0)
-            if bt is None:
-                bt = [[zero] * nu_unknown for _ in range(db)]
-            ins = reduce_insert(mu, avec, bt)
-            if ins:
-                queue.append(ins)
+            if tail is None:
+                tail = [zero] * (b.dims.get(mu, 0) * nu)
+            insert(mu, avec + tail)
+    for lam, e in ech.items():
+        if e.rank != a.dims[lam]:
+            raise InternalInconsistency(f"the generators do not span weight {lam!r} of A")
+        for rel in e.relations:
+            constraints.extend(_rows(rel, nu))
+    constraints = [r for r in constraints if any(r)]
 
-    sols = nullspace(constraints, nu_unknown) if constraints else [
-        [one if i == j else zero for j in range(nu_unknown)] for i in range(nu_unknown)
+    sols = nullspace(constraints, nu) if constraints else [
+        [one if i == j else zero for j in range(nu)] for i in range(nu)
     ]
     homs = []
     for s in sols:
         t = [[zero] * a.dim for _ in range(b.dim)]
-        for lam, rows in ech.items():
-            if not rows:
-                continue
-            da = a.dims[lam]
+        for lam, e in ech.items():
             db = b.dims.get(lam, 0)
-            # solve R X = evaluated tails for the images of unit vectors
-            rmat = [r.avec for _, r in rows]
-            vals = [
-                [sum((r.tail[i][t0] * s[t0] for t0 in range(nu_unknown) if r.tail[i][t0] and s[t0]), zero) for i in range(db)]
-                for _, r in rows
-            ]
-            rinv = invert([list(x) for x in rmat]) if len(rmat) == da else None
-            if rinv is None:
-                # generators must span; if not, remaining basis vectors map to 0
-                rinv = _pseudo_solve(rmat, da, zero, one)
-            aoff, boff = a.offset(lam), b.offset(lam) if db else 0
-            for col in range(da):
+            if not db:
+                continue
+            da, aoff, boff = a.dims[lam], a.offset(lam), b.offset(lam)
+            # the block has full rank, so each row is the unit vector at its
+            # pivot, and its tail evaluated at s is that vector's image
+            for p, row in zip(e.pivots, e.rows):
                 for i in range(db):
                     acc = zero
-                    for rr in range(len(rows)):
-                        if rinv[col][rr] and vals[rr][i]:
-                            acc = acc + rinv[col][rr] * vals[rr][i]
+                    for t0, x in enumerate(row[da + i * nu : da + (i + 1) * nu]):
+                        if x and s[t0]:
+                            acc = acc + x * s[t0]
                     if acc:
-                        t[boff + i][aoff + col] = acc
+                        t[boff + i][aoff + p] = acc
         homs.append(t)
     return homs
 
 
-def _pseudo_solve(rmat, da, zero, one):
-    """Rows of rmat are echelon (pivot-normalised); coordinates of each unit
-    vector in terms of the rows, padding missing directions with zero."""
-    out = []
-    for col in range(da):
-        unit = [zero] * da
-        unit[col] = one
-        coeffs = [zero] * len(rmat)
-        vec = list(unit)
-        for k, row in enumerate(rmat):
-            piv = next((j for j, x in enumerate(row) if x == one), None)
-            if piv is not None and vec[piv]:
-                c = vec[piv]
-                coeffs[k] = c
-                for j in range(da):
-                    if row[j]:
-                        vec[j] = vec[j] - c * row[j]
-        out.append(coeffs)
-    return out
+def _rows(flat, n):
+    """The rows of a matrix with n columns stored flat."""
+    return [flat[k : k + n] for k in range(0, len(flat), n)] if n else []
 
 
-def _apply_tail(b, g, lam, tail):
-    """Apply generator g (in B) to a parametric image supported on B(lam)."""
+def _apply_tail(b, g, lam, tail, nu):
+    """Apply generator g (in B) to a flattened parametric image on B(lam)."""
     blk = b.block(g, lam)
     if blk is None:
         return None
-    nu_unknown = len(tail[0]) if tail else 0
     zero = b.zero()
-    out = [[zero] * nu_unknown for _ in range(len(blk))]
-    for i in range(len(blk)):
-        for jj in range(len(tail)):
-            c = blk[i][jj]
+    out = [zero] * (len(blk) * nu)
+    for i, brow in enumerate(blk):
+        for jj, c in enumerate(brow):
             if c:
-                row = tail[jj]
-                for t in range(nu_unknown):
-                    if row[t]:
-                        out[i][t] = out[i][t] + c * row[t]
+                for t in range(nu):
+                    x = tail[jj * nu + t]
+                    if x:
+                        out[i * nu + t] = out[i * nu + t] + c * x
     return out
+
+
+def block_of(h, b, a, lam):
+    """Rows of the weight-lam block of a map h: A -> B from hom_space."""
+    if lam not in b.dims or lam not in a.dims:
+        return []
+    bo, ao = b.offset(lam), a.offset(lam)
+    return [h[bo + i][ao : ao + a.dims[lam]] for i in range(b.dims[lam])]
+
+
+def image_columns(h, x, v):
+    """The nonzero images of the basis vectors of X under a map h: X -> V
+    from hom_space, as (weight, block vector of V) pairs."""
+    for lam in x.weights_sorted():
+        if lam not in v.dims:
+            continue
+        bo, ao = v.offset(lam), x.offset(lam)
+        for j in range(x.dims[lam]):
+            col = [h[bo + i][ao + j] for i in range(v.dims[lam])]
+            if any(col):
+                yield lam, col

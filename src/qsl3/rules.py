@@ -81,10 +81,6 @@ def parse_label(s):
     return lbl
 
 
-def irreducible_label(lam):
-    return ModuleLabel("L", lam)
-
-
 class DecompositionExpr:
     """Formal multiset of labels with positive multiplicities."""
 

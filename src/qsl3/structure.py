@@ -1,29 +1,29 @@
 """Module structure analysis: composition factors, radical/socle series,
-Loewy diagrams with arrows, the acting-algebra radical, reference copies of
-the named indecomposables, and direct-sum verification certificates.
+Loewy diagrams with arrows, reference copies of the named indecomposables,
+and direct-sum verification certificates.
 
 Submodules of a WeightRep are handled as graded subspaces
 {Weight: [block vectors]} in the coordinates of the ambient module.
 """
 
-from .exact import CycNum
-from .linalg import Echelon, nullspace
+import math
+
+from .exact import InternalInconsistency
+from .linalg import nullspace, rank as mat_rank
 from .weights import Weight, classify
-from .algebra import GENS, WeightRep, gen_shift, sub_rep, quotient_rep, tensor_action
+from .algebra import echelon_basis, express_in_basis, sub_rep, quotient_rep, tensor_action
 from .repmod import (
     Character,
+    block_of,
     character,
     default_order,
     hom_space,
+    image_columns,
     irreducible,
     irreducible_character,
     verma,
 )
 from .rules import ModuleLabel, LoewyDiagram, _mklayer, reference_recipe, static_char
-
-
-class InternalInconsistency(Exception):
-    """An exact computation produced structurally impossible data."""
 
 
 class VerificationFailure(Exception):
@@ -54,25 +54,6 @@ def _factor_weights(v):
 # -- graded subspace helpers ------------------------------------------
 
 
-def _block_of(mat, brep, arep, lam):
-    """Rows of the weight-lam block of a global hom matrix B x A."""
-    if lam not in brep.dims or lam not in arep.dims:
-        return []
-    bo, ao = brep.offset(lam), arep.offset(lam)
-    return [mat[bo + i][ao : ao + arep.dims[lam]] for i in range(brep.dims[lam])]
-
-
-def _echelonize(rep, sub):
-    out = {}
-    for lam, vecs in sub.items():
-        e = Echelon(rep.dims[lam])
-        for x in vecs:
-            e.add(list(x))
-        if e.rank:
-            out[lam] = e.basis()
-    return out
-
-
 def subspace_dim(sub):
     return sum(len(v) for v in sub.values())
 
@@ -101,7 +82,7 @@ def radical_subspace(v, irr=None):
     for lam in v.weights_sorted():
         rows = []
         for h, L in homs:
-            rows.extend(_block_of(h, L, v, lam))
+            rows.extend(block_of(h, L, v, lam))
         rows = [r for r in rows if any(r)]
         basis = nullspace(rows, v.dims[lam]) if rows else [
             [v.one() if i == j else v.zero() for j in range(v.dims[lam])]
@@ -115,19 +96,13 @@ def radical_subspace(v, irr=None):
 def socle_subspace(v, irr=None):
     """soc V = sum of images of all maps irreducible -> V."""
     irr = irr or _irr_cache(v.order)
-    ech = {lam: Echelon(d) for lam, d in v.dims.items()}
+    images = {}
     for w in _factor_weights(v):
         L = irr(w)
         for h in hom_space(L, v):
-            for lam in L.weights_sorted():
-                if lam not in v.dims:
-                    continue
-                bo, ao = v.offset(lam), L.offset(lam)
-                for j in range(L.dims[lam]):
-                    col = [h[bo + i][ao + j] for i in range(v.dims[lam])]
-                    if any(col):
-                        ech[lam].add(col)
-    return {lam: e.basis() for lam, e in ech.items() if e.rank}
+            for lam, col in image_columns(h, L, v):
+                images.setdefault(lam, []).append(col)
+    return echelon_basis(v, images)
 
 
 def _compose_basis(outer, inner, zero):
@@ -175,7 +150,7 @@ def _radical_chain(v):
         if not sub:
             break
         in_v = sub if amb_basis is None else _compose_basis(amb_basis, sub, v.zero())
-        in_v = _echelonize(v, in_v)
+        in_v = echelon_basis(v, in_v)
         w, basis = sub_rep(v, in_v)
         chain.append((in_v, w))
         cur, amb_basis = w, basis
@@ -195,7 +170,7 @@ def socle_chain(v):
             raise InternalInconsistency("socle of a nonzero module vanished")
         # lift to v coords: accumulate previous + preimages
         if prev is None:
-            acc = _echelonize(v, sub)
+            acc = echelon_basis(v, sub)
         else:
             acc = {lam: [list(x) for x in vs] for lam, vs in prev.items()}
             # preimage of sub under projection: solve per weight
@@ -245,7 +220,7 @@ def _preimage_accumulate(v, cur, project, sub, acc):
             if not ok or project(lam, list(x)) != list(q):
                 raise InternalInconsistency("could not lift quotient vector")
             out.setdefault(lam, []).append(x)
-    return _echelonize(v, out)
+    return echelon_basis(v, out)
 
 
 def radical_layers(v):
@@ -340,8 +315,6 @@ def _two_layer_quotient(v, subspaces, j):
 
 def _express_subspace(sub_rep_obj, basis, subspace, zero):
     """Rewrite v-coordinate vectors as coordinates in the sub_rep basis."""
-    from .algebra import express_in_basis
-
     out = {}
     for lam, vecs in subspace.items():
         if lam not in basis:
@@ -373,7 +346,7 @@ def _image_in(mj_tuple, v, subspace):
             y = project(lam, list(x))
             if any(y):
                 out.setdefault(lam, []).append(y)
-    return _echelonize(mj, out)
+    return echelon_basis(mj, out)
 
 
 def _strip_other_isotypics(mj_tuple, bot_sub, keep_weight, irr):
@@ -386,178 +359,16 @@ def _strip_other_isotypics(mj_tuple, bot_sub, keep_weight, irr):
     for w in _factor_weights(bot):
         if w == keep_weight:
             continue
-        for h in hom_space(irr(w), bot):
-            L = irr(w)
-            for lam in L.weights_sorted():
-                if lam not in bot.dims:
-                    continue
-                bo, ao = bot.offset(lam), L.offset(lam)
-                for jj in range(L.dims[lam]):
-                    col = [h[bo + i][ao + jj] for i in range(bot.dims[lam])]
-                    if any(col):
-                        kill.setdefault(lam, []).append(col)
+        L = irr(w)
+        for h in hom_space(L, bot):
+            for lam, col in image_columns(h, L, bot):
+                kill.setdefault(lam, []).append(col)
     if not kill:
         return mj, None
     # map kill (bot coords) back to mj coords
-    kill_in_mj = _compose_basis(bot_basis, _echelonize(bot, kill), mj.zero())
-    q, _ = quotient_rep(mj, _echelonize(mj, kill_in_mj))
+    kill_in_mj = _compose_basis(bot_basis, echelon_basis(bot, kill), mj.zero())
+    q, _ = quotient_rep(mj, echelon_basis(mj, kill_in_mj))
     return q, None
-
-
-# -- acting-algebra radical -------------------------------------------
-
-
-class _GradedOp:
-    """An operator on a WeightRep, graded by a fixed weight shift."""
-
-    __slots__ = ("shift", "blocks")
-
-    def __init__(self, shift, blocks):
-        self.shift = shift
-        self.blocks = {lam: b for lam, b in blocks.items() if any(any(r) for r in b)}
-
-    def flat(self, rep):
-        out = []
-        for lam in rep.weights_sorted():
-            tgt = lam + self.shift
-            if tgt not in rep.dims:
-                continue
-            b = self.blocks.get(lam)
-            for i in range(rep.dims[tgt]):
-                for j in range(rep.dims[lam]):
-                    out.append(b[i][j] if b else rep.zero())
-        return out
-
-
-def _op_mul(rep, a, b):
-    """Composite a.b (apply b first)."""
-    from .linalg import mat_mul
-
-    shift = a.shift + b.shift
-    blocks = {}
-    for lam, bb in b.blocks.items():
-        mid = lam + b.shift
-        ab = a.blocks.get(mid)
-        if ab is None:
-            continue
-        if (lam + shift) not in rep.dims:
-            continue
-        m = mat_mul(ab, bb)
-        if any(any(r) for r in m):
-            blocks[lam] = m
-    return _GradedOp(shift, blocks)
-
-
-def acting_algebra(rep):
-    """Graded basis {shift: [operators]} of the image of the quantum group
-    in End(rep), generated by X's together with the diagonal H/K actions."""
-    z, one = rep.zero(), rep.one()
-
-    def diag(scalar_fn):
-        return _GradedOp(
-            Weight(0, 0),
-            {
-                lam: [
-                    [scalar_fn(lam) if i == j else z for j in range(d)] for i in range(d)
-                ]
-                for lam, d in rep.dims.items()
-            },
-        )
-
-    gens = [diag(lambda lam: one)]
-    gens.append(diag(lambda lam: one * lam.c1))
-    gens.append(diag(lambda lam: one * lam.c2))
-    from .weights import ALPHA1, ALPHA2
-
-    gens.append(diag(lambda lam: rep.k_scalar(ALPHA1, lam)))
-    gens.append(diag(lambda lam: rep.k_scalar(ALPHA2, lam)))
-    xgens = []
-    for g in GENS:
-        blocks = {lam: rep.block(g, lam) for lam in rep.weights_sorted() if rep.block(g, lam)}
-        xgens.append(_GradedOp(gen_shift(g), blocks))
-    basis = {}
-    ech = {}
-
-    def insert(op):
-        if not op.blocks:
-            return False
-        key = op.shift
-        n = sum(
-            rep.dims[lam] * rep.dims[lam + key]
-            for lam in rep.weights_sorted()
-            if lam + key in rep.dims
-        )
-        if key not in ech:
-            ech[key] = Echelon(n)
-            basis[key] = []
-        if ech[key].add(op.flat(rep)):
-            basis[key].append(op)
-            return True
-        return False
-
-    queue = []
-    for op in gens + xgens:
-        if insert(op):
-            queue.append(op)
-    while queue:
-        op = queue.pop()
-        for g in gens[1:] + xgens:
-            prod = _op_mul(rep, g, op)
-            if insert(prod):
-                queue.append(prod)
-    return basis
-
-
-def acting_radical_subspace(rep):
-    """rad(V) computed as rad(A_V).V with the trace-form radical of the
-    acting algebra A_V: x in degree gamma is radical iff tr(x.y) = 0 for
-    every y in degree -gamma."""
-    from .linalg import mat_mul
-
-    alg = acting_algebra(rep)
-    rad_ops = []
-    for gamma, ops in alg.items():
-        dual = alg.get(-gamma, [])
-        rows = []
-        for y in dual:
-            row = []
-            for x in ops:
-                xy = _op_mul(rep, x, y)
-                t = rep.zero()
-                for lam, b in xy.blocks.items():
-                    for i in range(len(b)):
-                        t = t + b[i][i]
-                row.append(t)
-            rows.append(row)
-        if not rows:
-            coeffs = [[rep.one() if i == j else rep.zero() for j in range(len(ops))] for i in range(len(ops))]
-        else:
-            coeffs = nullspace(rows, len(ops))
-        for c in coeffs:
-            blocks = {}
-            for k, xk in enumerate(c):
-                if not xk:
-                    continue
-                for lam, b in ops[k].blocks.items():
-                    cur = blocks.get(lam)
-                    add = [[xk * x for x in r] for r in b]
-                    blocks[lam] = add if cur is None else [
-                        [p + q for p, q in zip(r1, r2)] for r1, r2 in zip(cur, add)
-                    ]
-            op = _GradedOp(gamma, blocks)
-            if op.blocks:
-                rad_ops.append(op)
-    ech = {lam: Echelon(d) for lam, d in rep.dims.items()}
-    for op in rad_ops:
-        for lam, b in op.blocks.items():
-            tgt = lam + op.shift
-            if tgt not in rep.dims:
-                continue
-            for j in range(rep.dims[lam]):
-                col = [b[i][j] for i in range(rep.dims[tgt])]
-                if any(col):
-                    ech[tgt].add(col)
-    return {lam: e.basis() for lam, e in ech.items() if e.rank}
 
 
 # -- reference modules ------------------------------------------------
@@ -581,28 +392,17 @@ def build_reference(label, order=None):
     else:
         lam0, mu0, expr, _ = reference_recipe(label)
         o = default_order(lam0, mu0, lam)
-        o = o * order // __import__("math").gcd(o, order)
+        o = math.lcm(o, order)
         t = tensor_action(irreducible(lam0, o), irreducible(mu0, o))
-        kill = {lam_: [] for lam_ in t.weights_sorted()}
-        touched = False
+        kill = {}
         for other, mult in expr:
             if other.family == label.family and other.weight == lam:
                 continue
             ref = irreducible(other.weight, o)
             for h in hom_space(ref, t):
-                for lw in ref.weights_sorted():
-                    if lw not in t.dims:
-                        continue
-                    bo, ao = t.offset(lw), ref.offset(lw)
-                    for j in range(ref.dims[lw]):
-                        col = [h[bo + i][ao + j] for i in range(t.dims[lw])]
-                        if any(col):
-                            kill[lw].append(col)
-                            touched = True
-        if touched:
-            out, _ = quotient_rep(t, {k: v for k, v in kill.items() if v})
-        else:
-            out = t
+                for lw, col in image_columns(h, ref, t):
+                    kill.setdefault(lw, []).append(col)
+        out = quotient_rep(t, kill)[0] if kill else t
         if character(out).terms != static_char(label).terms:
             raise InternalInconsistency(f"reference for {label!r} has wrong character")
     out.label = repr(label)
@@ -629,15 +429,12 @@ def verify_decomposition(t, expr, order=None):
         total = total + m * static_char(lbl)
     if character(t).terms != total.terms:
         raise VerificationFailure("character mismatch")
-    span = {lam: Echelon(d) for lam, d in t.dims.items()}
-    for lbl, m in expr:
-        ref = build_reference(lbl, order or t.order)
-        if ref.order != t.order:
-            mo = ref.order * t.order // __import__("math").gcd(ref.order, t.order)
-            ref, t = ref.embed(mo), t.embed(mo)
-            span = {lam: Echelon(d) for lam, d in t.dims.items()}
-            # respan with previous images lost; redo from scratch below
-            return verify_decomposition(t, expr, order=mo)
+    refs = [build_reference(lbl, order or t.order) for lbl, _ in expr]
+    common = math.lcm(t.order, *(ref.order for ref in refs))
+    t = t.embed(common)
+    images = {}
+    for (lbl, m), ref in zip(expr, refs):
+        ref = ref.embed(common)
         into = hom_space(ref, t)
         onto = hom_space(t, ref)
         if len(into) < m or len(onto) < m:
@@ -647,38 +444,31 @@ def verify_decomposition(t, expr, order=None):
         top = max(ref.weights_sorted(), key=Weight.sort_key)
         if ref.dims[top] != 1:
             raise InternalInconsistency(f"{lbl!r}: top weight space not one-dimensional")
-        rt = ref.offset(top)
-        to = t.offset(top)
-        dt = t.dims[top]
+        # the composites X -> t -> X on the top weight space of X
+        cols = [[row[0] for row in block_of(q, t, ref, top)] for q in into]
         smat = []
         for p in onto:
+            (prow,) = block_of(p, ref, t, top)
             row = []
-            for q in into:
+            for col in cols:
                 acc = t.zero()
-                for k in range(dt):
-                    if p[rt][to + k] and q[to + k][rt]:
-                        acc = acc + p[rt][to + k] * q[to + k][rt]
+                for x, y in zip(prow, col):
+                    if x and y:
+                        acc = acc + x * y
                 row.append(acc)
             smat.append(row)
-        from .linalg import rank as mat_rank
-
         r = mat_rank(smat, len(into)) if smat else 0
         if r < m:
             raise VerificationFailure(
                 f"{lbl!r}: split rank {r} below multiplicity {m}"
             )
         for q in into:
-            for col in range(ref.dim):
-                lam = ref.weight_of(col)
-                if lam not in t.dims:
-                    continue
-                bo = t.offset(lam)
-                vec = [q[bo + i][col] for i in range(t.dims[lam])]
-                if any(vec):
-                    span[lam].add(vec)
+            for lam, col in image_columns(q, ref, t):
+                images.setdefault(lam, []).append(col)
         report["summands"].append((repr(lbl), m, len(into), len(onto), r))
-    for lam, e in span.items():
-        if e.rank != t.dims[lam]:
+    span = echelon_basis(t, images)
+    for lam, d in t.dims.items():
+        if len(span.get(lam, ())) != d:
             raise VerificationFailure(f"images do not span weight {lam!r}")
     report["spanned"] = True
     return report

@@ -59,6 +59,23 @@ def test_multiplicative_inverse(a):
         assert a * a.inv() == CycNum.one(ORDER)
 
 
+@settings(max_examples=60, deadline=None)
+@given(cycs, st.integers(-3, 4))
+def test_power_is_the_repeated_product(a, n):
+    if a.is_zero() and n < 0:
+        with pytest.raises(DivisionByZero):
+            a ** n
+        return
+    want = CycNum.one(ORDER)
+    for _ in range(abs(n)):
+        want = want * a
+    if n < 0:
+        want = want.inv()
+    assert a ** n == want
+    if n == -1:
+        assert a ** -1 == a.inv()
+
+
 def test_zeta_is_primitive_root():
     z = CycNum.zeta(ORDER)
     powers = set()

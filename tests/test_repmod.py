@@ -2,6 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
+
+from qsl3 import repmod, structure
+from qsl3.algebra import GENS, direct_sum, gen_shift, tensor_action
+from qsl3.exact import InternalInconsistency
+from qsl3.linalg import mat_mul, nullspace, rank
 from qsl3.repmod import (
     Character,
     character,
@@ -97,3 +103,116 @@ def test_characters_weyl_asymmetry_matches_class():
         lam = sample_class(tag, 1, seed=23)[0]
         diff = verma_character(lam) - irreducible_character(lam)
         assert diff.terms and all(m > 0 for m in diff.terms.values())
+
+
+# -- hom_space against the intertwining equations -----------------------
+
+
+def _global(rep, g):
+    """The dense matrix of generator g on the whole of rep."""
+    m = [[rep.zero()] * rep.dim for _ in range(rep.dim)]
+    for src, ent in rep.columns(g).items():
+        for dst, c in ent:
+            m[dst][src] = c
+    return m
+
+
+def _intertwiner_count(a, b):
+    """dim Hom(A, B), counted apart from hom_space: the kernel of the
+    equations X(lam + shift) A_g(lam) = B_g(lam) X(lam) on the blocks of a
+    weight-preserving map X."""
+    index = {}
+    for lam in a.weights_sorted():
+        for i in range(b.dims.get(lam, 0)):
+            for j in range(a.dims[lam]):
+                index[(lam, i, j)] = len(index)
+    rows = []
+    for g in GENS:
+        for lam in a.weights_sorted():
+            mu = lam + gen_shift(g)
+            if mu not in b.dims:
+                continue
+            ag, bg = a.block(g, lam), b.block(g, lam)
+            for i in range(b.dims[mu]):
+                for j in range(a.dims[lam]):
+                    row = [a.zero()] * len(index)
+                    if ag:
+                        for k in range(a.dims[mu]):
+                            row[index[(mu, i, k)]] += ag[k][j]
+                    if bg:
+                        for k in range(b.dims[lam]):
+                            row[index[(lam, k, j)]] -= bg[i][k]
+                    rows.append(row)
+    return len(nullspace(rows, len(index)))
+
+
+L4, M4 = W(0, 1), W(1, 0)                     # weights over Q(i)
+L8 = W(0, Fraction(-1, 2))                    # over Q(zeta_8)
+L24 = W(Fraction(1, 2), Fraction(1, 3))       # typical, over Q(zeta_24)
+
+
+def _t4():
+    return tensor_action(irreducible(M4), irreducible(L4))
+
+
+def _t8():
+    return tensor_action(irreducible(L8), irreducible(L4, 8))
+
+
+def _t24():
+    return tensor_action(irreducible(L4, 24), irreducible(W(0, -1), 24))
+
+
+def _s24():
+    return direct_sum(irreducible(L24), irreducible(L24))
+
+
+def _end(make):
+    return lambda: (make(),) * 2
+
+
+# name -> () -> (A, B); the field order leads the name
+HOM_PAIRS = {
+    "o4-verma-irr": lambda: (verma(L4), irreducible(L4)),
+    "o4-socle-verma": lambda: (irreducible(W(-1, 0)), verma(L4)),
+    "o4-tensor-end": _end(_t4),
+    "o4-irr-tensor": lambda: (irreducible(L4 + M4), _t4()),
+    "o4-no-common-weight": lambda: (verma(ZERO), irreducible(W(5, 7))),
+    "o8-verma-end": _end(lambda: verma(L8)),
+    "o8-verma-irr": lambda: (verma(L8), irreducible(L8)),
+    "o8-tensor-irr": lambda: (_t8(), irreducible(L8 + L4, 8)),
+    "o8-tensor-end": _end(_t8),
+    "o24-verma-irr": lambda: (verma(L24), irreducible(L24)),
+    "o24-socle-verma": lambda: (irreducible(W(-2, Fraction(2, 3)), 24),
+                                verma(W(0, Fraction(-1, 3)), 24)),
+    "o24-sum-end": _end(_s24),
+    "o24-tensor-end": _end(_t24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_PAIRS))
+def test_hom_space_maps_intertwine_and_match_an_independent_count(name):
+    a, b = HOM_PAIRS[name]()
+    assert a.order == b.order == int(name[1 : name.index("-")])
+    homs = hom_space(a, b)
+    assert len(homs) == _intertwiner_count(a, b)
+    for h in homs:
+        for i in range(b.dim):
+            for j in range(a.dim):
+                if h[i][j]:
+                    assert b.weight_of(i) == a.weight_of(j)
+        for g in GENS:
+            assert mat_mul(h, _global(a, g)) == mat_mul(_global(b, g), h), g
+    if homs:
+        assert rank([[x for row in h for x in row] for h in homs], a.dim * b.dim) == len(homs)
+
+
+def test_hom_space_raises_when_generators_fail_to_span(monkeypatch):
+    rep = irreducible(W(1, 1))
+    s = direct_sum(rep, rep)
+    assert len(repmod.generating_indices(s)) == 2
+    full = repmod.generating_indices
+    monkeypatch.setattr(repmod, "generating_indices", lambda r: full(r)[:-1])
+    with pytest.raises(InternalInconsistency):
+        hom_space(s, rep)
+    assert structure.InternalInconsistency is InternalInconsistency

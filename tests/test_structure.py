@@ -98,6 +98,16 @@ def test_verify_decomposition_accepts_true_and_rejects_false():
         verify_decomposition(t, wrong)
 
 
+def test_verify_decomposition_lifts_module_and_references_to_one_field():
+    lam, mu = W(0, Fraction(-1, 2)), W(0, Fraction(1, 2))
+    t = tensor_action(irreducible(lam), irreducible(mu))
+    expr = tensor_rule(ModuleLabel("L", lam), ModuleLabel("L", mu))
+    assert t.order == 8 and repr(expr) == "K(16)[1,-2]"
+    report = verify_decomposition(t, expr, order=24)
+    assert report["spanned"]
+    assert report["summands"] == [("K(16)[1,-2]", 1, 3, 3, 1)]
+
+
 def test_self_duality_of_projectives():
     for label in [
         ModuleLabel("P", W(0, Fraction(-1, 2))),
