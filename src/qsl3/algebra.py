@@ -29,8 +29,7 @@ class WeightRep:
 
     dims: {Weight: multiplicity}; blocks[g][lam] is the matrix of g
     restricted to V(lam), mapping into V(lam + shift(g)).  Missing blocks
-    are zero.  The global basis is ordered by Weight.sort_key, then local
-    index inside each weight space.
+    are zero.
     """
 
     def __init__(self, order, dims, blocks, label=None):
@@ -39,27 +38,12 @@ class WeightRep:
         self.blocks = {g: dict(blocks.get(g, {})) for g in GENS}
         self.label = label
         self._weights = sorted(self.dims, key=Weight.sort_key)
-        self._offsets = {}
-        off = 0
-        for lam in self._weights:
-            self._offsets[lam] = off
-            off += self.dims[lam]
-        self.dim = off
-        self._colmaps = {}
+        self.dim = sum(self.dims.values())
 
     # -- bookkeeping --------------------------------------------------
 
     def weights_sorted(self):
         return list(self._weights)
-
-    def offset(self, lam):
-        return self._offsets[lam]
-
-    def weight_of(self, idx):
-        for lam in self._weights:
-            if idx < self._offsets[lam] + self.dims[lam]:
-                return lam
-        raise IndexError(idx)
 
     def zero(self):
         return CycNum.zero(self.order)
@@ -92,23 +76,6 @@ class WeightRep:
             if acc is not None:
                 out[i] = acc
         return mu, out
-
-    def columns(self, g):
-        """Global action of g as columns: {src index: [(dst index, coeff)]}."""
-        if g in self._colmaps:
-            return self._colmaps[g]
-        cols = {}
-        for lam, mat in self.blocks.get(g, {}).items():
-            mu = lam + gen_shift(g)
-            if mu not in self._offsets:
-                continue
-            soff, doff = self._offsets[lam], self._offsets[mu]
-            for j in range(self.dims[lam]):
-                ent = [(doff + i, mat[i][j]) for i in range(self.dims[mu]) if mat[i][j]]
-                if ent:
-                    cols[soff + j] = ent
-        self._colmaps[g] = cols
-        return cols
 
     def character(self):
         from .repmod import Character
@@ -232,62 +199,64 @@ def relations_ok(rep):
 def tensor_action(a, b):
     """The module A (x) B via the coproduct
     X_j -> X_j (x) K_j + 1 (x) X_j,   X_-j -> X_-j (x) 1 + K_j^-1 (x) X_-j.
+
+    Weight space nu of A (x) B is the sum of the blocks A(lam) (x) B(mu)
+    with lam + mu = nu, in lam-ascending order; inside its block, a_k (x) b_l
+    sits at position k * dimB(mu) + l.
     """
     if a.order != b.order:
         m = math.lcm(a.order, b.order)
         a, b = a.embed(m), b.embed(m)
     order = a.order
-    pairs = {}  # weight -> ordered list of (ia, ib)
-    wa = [(lam, a.offset(lam) + k) for lam in a.weights_sorted() for k in range(a.dims[lam])]
-    wb = [(mu, b.offset(mu) + k) for mu in b.weights_sorted() for k in range(b.dims[mu])]
-    for lam, ia in wa:
-        for mu, ib in wb:
-            pairs.setdefault(lam + mu, []).append((ia, ib))
-    for v in pairs.values():
-        v.sort()
-    pos = {}
-    for nu, lst in pairs.items():
-        for k, p in enumerate(lst):
-            pos[p] = (nu, k)
-    dims = {nu: len(lst) for nu, lst in pairs.items()}
+    start = {}  # (lam, mu) -> first position of A(lam) (x) B(mu) in its weight space
+    dims = {}
+    summands = {}  # nu -> [(lam, mu)], lam ascending
+    for lam in a.weights_sorted():
+        for mu in b.weights_sorted():
+            nu = lam + mu
+            start[lam, mu] = dims.get(nu, 0)
+            dims[nu] = start[lam, mu] + a.dims[lam] * b.dims[mu]
+            summands.setdefault(nu, []).append((lam, mu))
     z = CycNum.zero(order)
     blocks = {g: {} for g in GENS}
-    awt = {ia: lam for lam, ia in wa}
-    bwt = {ib: mu for mu, ib in wb}
 
     for g in GENS:
-        j = abs(g)
-        acols, bcols = a.columns(g), b.columns(g)
+        alpha = ALPHA[abs(g)]
         shift = gen_shift(g)
-        for nu, lst in pairs.items():
-            tgt = nu + shift
-            if tgt not in dims:
+        for nu, terms in summands.items():
+            if nu + shift not in dims:
                 continue
-            mat = [[z] * len(lst) for _ in range(dims[tgt])]
+            mat = [[z] * dims[nu] for _ in range(dims[nu + shift])]
             touched = False
-            for col, (ia, ib) in enumerate(lst):
-                if g > 0:
-                    # X_j (x) K_j + 1 (x) X_j
-                    kb = i_power(killing(ALPHA[j], bwt[ib]), order)
-                    for ja, c in acols.get(ia, ()):
-                        _, row = pos[(ja, ib)]
-                        mat[row][col] = mat[row][col] + c * kb
-                        touched = True
-                    for jb, c in bcols.get(ib, ()):
-                        _, row = pos[(ia, jb)]
-                        mat[row][col] = mat[row][col] + c
-                        touched = True
-                else:
-                    # X_-j (x) 1 + K_j^-1 (x) X_-j
-                    for ja, c in acols.get(ia, ()):
-                        _, row = pos[(ja, ib)]
-                        mat[row][col] = mat[row][col] + c
-                        touched = True
-                    ka = i_power(-killing(ALPHA[j], awt[ia]), order)
-                    for jb, c in bcols.get(ib, ()):
-                        _, row = pos[(ia, jb)]
-                        mat[row][col] = mat[row][col] + ka * c
-                        touched = True
+            for lam, mu in terms:
+                db, col0 = b.dims[mu], start[lam, mu]
+                # A's factor: X_j (x) K_j or X_-j (x) 1, into A(lam + shift) (x) B(mu)
+                ga, lam2 = a.block(g, lam), lam + shift
+                if ga is not None and lam2 in a.dims:
+                    kb = i_power(killing(alpha, mu), order) if g > 0 else None
+                    row0 = start[lam2, mu]
+                    for i, grow in enumerate(ga):
+                        for k, c in enumerate(grow):
+                            if c:
+                                if kb is not None:
+                                    c = c * kb
+                                touched = True
+                                r, s = row0 + i * db, col0 + k * db
+                                for l in range(db):
+                                    mat[r + l][s + l] = c
+                # B's factor: 1 (x) X_j or K_j^-1 (x) X_-j, into A(lam) (x) B(mu + shift)
+                gb, mu2 = b.block(g, mu), mu + shift
+                if gb is not None and mu2 in b.dims:
+                    ka = i_power(-killing(alpha, lam), order) if g < 0 else None
+                    db2, row0 = b.dims[mu2], start[lam, mu2]
+                    for i, grow in enumerate(gb):
+                        for l, c in enumerate(grow):
+                            if c:
+                                if ka is not None:
+                                    c = ka * c
+                                touched = True
+                                for k in range(a.dims[lam]):
+                                    mat[row0 + k * db2 + i][col0 + k * db + l] = c
             if touched:
                 blocks[g][nu] = mat
     return WeightRep(order, dims, blocks)
@@ -312,21 +281,6 @@ def dual_rep(rep):
             if src is not None and nu in rep.dims:
                 s = -i_power(-killing(ALPHA[j], nu), rep.order)
                 blocks[-j][lam] = [[s * src[c][r] for c in range(len(src))] for r in range(len(src[0]))]
-    return WeightRep(rep.order, rep.dims, blocks)
-
-
-def omega_tilde_rep(rep):
-    """The representation x -> rep(omega~(x))^T with omega~: X_{+-j} -> X_{-+j},
-    grading fixed.  Used to realise the contravariant form; satisfies the
-    same relations because omega~ and transpose are both antiautomorphisms.
-    """
-    blocks = {g: {} for g in GENS}
-    for g in GENS:
-        for lam in rep.weights_sorted():
-            mu = lam + gen_shift(g)
-            src = rep.block(-g, mu)  # V(mu) -> V(lam) for the swapped generator
-            if src is not None and mu in rep.dims:
-                blocks[g][lam] = [[src[c][r] for c in range(len(src))] for r in range(len(src[0]))]
     return WeightRep(rep.order, rep.dims, blocks)
 
 

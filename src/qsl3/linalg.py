@@ -1,15 +1,16 @@
-"""Dense exact linear algebra over any exact field (Fraction or CycNum).
+"""Dense exact linear algebra over one cyclotomic field (CycNum).
 
 Vectors are lists, matrices are lists of rows.  Elimination always takes
 the first nonzero entry as pivot, so results are deterministic.
 """
 
-from fractions import Fraction
+from .exact import CycNum
 
 
 def mat_mul(a, b):
     if not a or not b:
         return []
+    zero = CycNum.zero(a[0][0].order)
     cols = len(b[0])
     out = []
     for row in a:
@@ -22,13 +23,8 @@ def mat_mul(a, b):
                     if y:
                         p = x * y
                         acc[j] = p if acc[j] is None else acc[j] + p
-        zero = _zero_like(row[0] if row else Fraction(0))
         out.append([zero if v is None else v for v in acc])
     return out
-
-
-def _zero_like(x):
-    return x - x if not isinstance(x, (int, Fraction)) else Fraction(0)
 
 
 class Echelon:
@@ -67,8 +63,7 @@ class Echelon:
             if any(tail):
                 self.relations.append(tail)
             return False
-        c = vec[p]
-        inv = Fraction(1) / c if isinstance(c, (int, Fraction)) else c.inv()
+        inv = vec[p].inv()
         vec = [x * inv for x in vec]
         # back-substitute into existing rows
         for row in self.rows:
@@ -109,15 +104,15 @@ def rank(rows, ncols=None):
     return ech.rank
 
 
-def nullspace(rows, ncols):
-    """Basis of the right kernel {v : M v = 0} of the matrix with given rows."""
+def nullspace(rows, ncols, zero):
+    """Basis of the right kernel {v : M v = 0} of the matrix with given rows,
+    over the field whose zero is `zero`; with no rows, the unit vectors."""
     ech = Echelon(ncols)
     for r in rows:
         ech.add(r)
     piv = set(ech.pivots)
     ordered = sorted(zip(ech.pivots, ech.rows))
-    zero = _zero_like(rows[0][0]) if rows and rows[0] else Fraction(0)
-    one = zero + 1 if not isinstance(zero, Fraction) else Fraction(1)
+    one = CycNum.one(zero.order)
     basis = []
     for free in range(ncols):
         if free in piv:
@@ -135,8 +130,8 @@ def invert(square_rows):
     n = len(square_rows)
     if n == 0:
         return []
-    zero = _zero_like(square_rows[0][0])
-    one = zero + 1 if not isinstance(zero, Fraction) else Fraction(1)
+    zero = CycNum.zero(square_rows[0][0].order)
+    one = CycNum.one(zero.order)
     ech = Echelon(n)  # the identity rides along as the tail
     for i, r in enumerate(square_rows):
         ech.add(list(r) + [one if i == j else zero for j in range(n)])

@@ -256,7 +256,7 @@ def irreducible(lam, order=None):
 
     rad = {}
     for mu, g in gram.items():
-        ker = nullspace(g, len(g))
+        ker = nullspace(g, len(g), m.zero())
         if ker:
             rad[mu] = ker
     if not rad:
@@ -363,7 +363,8 @@ def character(v):
 
 
 def generating_indices(rep):
-    """Greedy generating set of global basis indices, highest weight first."""
+    """Greedy generating set of (weight, local index) basis vectors,
+    highest weight first."""
     span = {lam: Echelon(d) for lam, d in rep.dims.items()}
     order_idx = []
     for lam in sorted(rep.weights_sorted(), key=Weight.sort_key, reverse=True):
@@ -391,7 +392,9 @@ def generating_indices(rep):
 
 
 def hom_space(a, b):
-    """A basis of Hom(A, B) as global dimB x dimA matrices over CycNum.
+    """A basis of Hom(A, B), each map as weight blocks {lam: dimB(lam) x
+    dimA(lam) matrix}, one for each weight of A that B shares, in
+    A.weights_sorted() order.
 
     Spinning with parametric images: the images of a generating set of A
     are unknowns; spinning A while propagating parametric images yields
@@ -448,28 +451,24 @@ def hom_space(a, b):
             constraints.extend(_rows(rel, nu))
     constraints = [r for r in constraints if any(r)]
 
-    sols = nullspace(constraints, nu) if constraints else [
-        [one if i == j else zero for j in range(nu)] for i in range(nu)
-    ]
+    shared = [(lam, ech[lam]) for lam in a.weights_sorted() if lam in b.dims]
     homs = []
-    for s in sols:
-        t = [[zero] * a.dim for _ in range(b.dim)]
-        for lam, e in ech.items():
-            db = b.dims.get(lam, 0)
-            if not db:
-                continue
-            da, aoff, boff = a.dims[lam], a.offset(lam), b.offset(lam)
+    for s in nullspace(constraints, nu, zero):
+        h = {}
+        for lam, e in shared:
+            da, db = a.dims[lam], b.dims[lam]
+            blk = [[zero] * da for _ in range(db)]
             # the block has full rank, so each row is the unit vector at its
             # pivot, and its tail evaluated at s is that vector's image
             for p, row in zip(e.pivots, e.rows):
                 for i in range(db):
                     acc = zero
-                    for t0, x in enumerate(row[da + i * nu : da + (i + 1) * nu]):
-                        if x and s[t0]:
-                            acc = acc + x * s[t0]
-                    if acc:
-                        t[boff + i][aoff + p] = acc
-        homs.append(t)
+                    for x, y in zip(row[da + i * nu : da + (i + 1) * nu], s):
+                        if x and y:
+                            acc = acc + x * y
+                    blk[i][p] = acc
+            h[lam] = blk
+        homs.append(h)
     return homs
 
 
@@ -495,22 +494,10 @@ def _apply_tail(b, g, lam, tail, nu):
     return out
 
 
-def block_of(h, b, a, lam):
-    """Rows of the weight-lam block of a map h: A -> B from hom_space."""
-    if lam not in b.dims or lam not in a.dims:
-        return []
-    bo, ao = b.offset(lam), a.offset(lam)
-    return [h[bo + i][ao : ao + a.dims[lam]] for i in range(b.dims[lam])]
-
-
-def image_columns(h, x, v):
-    """The nonzero images of the basis vectors of X under a map h: X -> V
-    from hom_space, as (weight, block vector of V) pairs."""
-    for lam in x.weights_sorted():
-        if lam not in v.dims:
-            continue
-        bo, ao = v.offset(lam), x.offset(lam)
-        for j in range(x.dims[lam]):
-            col = [h[bo + i][ao + j] for i in range(v.dims[lam])]
+def image_columns(h):
+    """The nonzero images of the basis vectors under a map h from
+    hom_space, as (weight, block vector of the target) pairs."""
+    for lam, blk in h.items():
+        for col in zip(*blk):
             if any(col):
-                yield lam, col
+                yield lam, list(col)

@@ -14,7 +14,6 @@ from .weights import Weight, classify
 from .algebra import echelon_basis, express_in_basis, sub_rep, quotient_rep, tensor_action
 from .repmod import (
     Character,
-    block_of,
     character,
     default_order,
     hom_space,
@@ -74,20 +73,13 @@ def _irr_cache(order):
 def radical_subspace(v, irr=None):
     """rad V = intersection of kernels of all maps V -> irreducible."""
     irr = irr or _irr_cache(v.order)
-    homs = []  # (global matrix, target rep)
+    homs = []
     for w in _factor_weights(v):
-        L = irr(w)
-        homs.extend((h, L) for h in hom_space(v, L))
+        homs.extend(hom_space(v, irr(w)))
     out = {}
     for lam in v.weights_sorted():
-        rows = []
-        for h, L in homs:
-            rows.extend(block_of(h, L, v, lam))
-        rows = [r for r in rows if any(r)]
-        basis = nullspace(rows, v.dims[lam]) if rows else [
-            [v.one() if i == j else v.zero() for j in range(v.dims[lam])]
-            for i in range(v.dims[lam])
-        ]
+        rows = [r for h in homs for r in h.get(lam, ()) if any(r)]
+        basis = nullspace(rows, v.dims[lam], v.zero())
         if basis:
             out[lam] = basis
     return out
@@ -100,7 +92,7 @@ def socle_subspace(v, irr=None):
     for w in _factor_weights(v):
         L = irr(w)
         for h in hom_space(L, v):
-            for lam, col in image_columns(h, L, v):
+            for lam, col in image_columns(h):
                 images.setdefault(lam, []).append(col)
     return echelon_basis(v, images)
 
@@ -161,63 +153,33 @@ def socle_chain(v):
     """[(subspace of soc^j V in V coords)] for the ascending socle series."""
     irr = _irr_cache(v.order)
     chain = []
-    prev = None  # subspace already accumulated, in v coords
     cur, project = v, None
-    quotients = []
     while cur.dim:
         sub = socle_subspace(cur, irr)
         if not sub:
             raise InternalInconsistency("socle of a nonzero module vanished")
-        # lift to v coords: accumulate previous + preimages
-        if prev is None:
-            acc = echelon_basis(v, sub)
-        else:
-            acc = {lam: [list(x) for x in vs] for lam, vs in prev.items()}
-            # preimage of sub under projection: solve per weight
-            acc = _preimage_accumulate(v, cur, project, sub, acc)
+        # soc^j V is soc^{j-1} V plus the preimage of soc(V / soc^{j-1} V)
+        acc = echelon_basis(v, sub) if not chain else _lift_into(v, chain[-1], project, sub)
         chain.append(acc)
         if subspace_dim(acc) == v.dim:
             break
         cur, project = quotient_rep(v, acc)
-        prev = acc
     return chain
 
 
-def _preimage_accumulate(v, cur, project, sub, acc):
-    """Add representatives of `sub` (in quotient coords) to `acc` (v coords)."""
-    # project maps (lam, v-block vector) -> quotient coords; the quotient basis
-    # consists of free coordinates, so a representative is the unit lift
-    out = {lam: [list(x) for x in vs] for lam, vs in acc.items()}
+def _lift_into(v, acc, project, sub):
+    """acc (an echelon basis in v coords) plus lifts of the vectors `sub` of
+    the quotient V / acc.  That quotient keeps the non-pivot coordinates of
+    acc's echelon basis, so a vector lifts by placing its entries there."""
+    out = {lam: list(vs) for lam, vs in acc.items()}
     for lam, vecs in sub.items():
-        # reconstruct: find the free coordinate positions by projecting units
-        da = v.dims[lam]
-        units = []
-        for j in range(da):
-            unit = [v.zero()] * da
-            unit[j] = v.one()
-            units.append(project(lam, unit))
-        # representative of quotient coord vector q: choose x with project(x)=q
-        # via least free-coordinate placement: x = sum over free positions
-        free = []
-        seen = set()
-        for j, pj in enumerate(units):
-            piv = next((t for t, c in enumerate(pj) if c), None)
-            if piv is not None and piv not in seen and pj[piv] == v.one() and all(
-                not c for t, c in enumerate(pj) if t != piv
-            ):
-                free.append((piv, j))
-                seen.add(piv)
-        posmap = dict(free)
+        piv = {next(j for j, c in enumerate(row) if c) for row in acc.get(lam, ())}
+        free = [j for j in range(v.dims[lam]) if j not in piv]
         for q in vecs:
-            x = [v.zero()] * da
-            ok = True
-            for t, c in enumerate(q):
-                if c:
-                    if t not in posmap:
-                        ok = False
-                        break
-                    x[posmap[t]] = c
-            if not ok or project(lam, list(x)) != list(q):
+            x = [v.zero()] * v.dims[lam]
+            for j, c in zip(free, q):
+                x[j] = c
+            if project(lam, x) != list(q):
                 raise InternalInconsistency("could not lift quotient vector")
             out.setdefault(lam, []).append(x)
     return echelon_basis(v, out)
@@ -361,7 +323,7 @@ def _strip_other_isotypics(mj_tuple, bot_sub, keep_weight, irr):
             continue
         L = irr(w)
         for h in hom_space(L, bot):
-            for lam, col in image_columns(h, L, bot):
+            for lam, col in image_columns(h):
                 kill.setdefault(lam, []).append(col)
     if not kill:
         return mj, None
@@ -400,7 +362,7 @@ def build_reference(label, order=None):
                 continue
             ref = irreducible(other.weight, o)
             for h in hom_space(ref, t):
-                for lw, col in image_columns(h, ref, t):
+                for lw, col in image_columns(h):
                     kill.setdefault(lw, []).append(col)
         out = quotient_rep(t, kill)[0] if kill else t
         if character(out).terms != static_char(label).terms:
@@ -445,10 +407,10 @@ def verify_decomposition(t, expr, order=None):
         if ref.dims[top] != 1:
             raise InternalInconsistency(f"{lbl!r}: top weight space not one-dimensional")
         # the composites X -> t -> X on the top weight space of X
-        cols = [[row[0] for row in block_of(q, t, ref, top)] for q in into]
+        cols = [[row[0] for row in q[top]] for q in into]
         smat = []
         for p in onto:
-            (prow,) = block_of(p, ref, t, top)
+            (prow,) = p[top]
             row = []
             for col in cols:
                 acc = t.zero()
@@ -463,7 +425,7 @@ def verify_decomposition(t, expr, order=None):
                 f"{lbl!r}: split rank {r} below multiplicity {m}"
             )
         for q in into:
-            for lam, col in image_columns(q, ref, t):
+            for lam, col in image_columns(q):
                 images.setdefault(lam, []).append(col)
         report["summands"].append((repr(lbl), m, len(into), len(onto), r))
     span = echelon_basis(t, images)

@@ -56,10 +56,12 @@ def invertible_hom(a, b):
     if a.order != b.order or character(a).terms != character(b).terms:
         return None
     homs = hom_space(a, b)
-    dim = b.dim
+    if not homs:
+        return None
 
     def full(h):
-        return mat_rank([list(row) for row in h], dim) == dim
+        # the characters agree, so every block is square
+        return all(mat_rank(blk, len(blk)) == len(blk) for blk in h.values())
 
     for h in homs:
         if full(h):
@@ -67,11 +69,14 @@ def invertible_hom(a, b):
     rng = random.Random(5)
     for _ in range(20):
         coeffs = [rng.randrange(1, 7) for _ in homs]
-        h = [
-            [sum((hk[i][j] * c for hk, c in zip(homs, coeffs)), b.zero())
-             for j in range(dim)]
-            for i in range(dim)
-        ]
+        h = {
+            lam: [
+                [sum((hk[lam][i][j] * c for hk, c in zip(homs, coeffs)), b.zero())
+                 for j in range(len(blk[0]))]
+                for i in range(len(blk))
+            ]
+            for lam, blk in homs[0].items()
+        }
         if full(h):
             return h
     return None
@@ -92,12 +97,9 @@ def extract_summand(lam0, mu0, target):
             continue
         ref = build_reference(other, t.order)
         for h in hom_space(ref, t):
-            for lw in ref.weights_sorted():
-                if lw not in t.dims:
-                    continue
-                bo, ao = t.offset(lw), ref.offset(lw)
+            for lw, blk in h.items():
                 for j in range(ref.dims[lw]):
-                    col = [h[bo + i][ao + j] for i in range(t.dims[lw])]
+                    col = [row[j] for row in blk]
                     if any(col):
                         kill[lw].append(col)
                         touched = True

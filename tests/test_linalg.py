@@ -113,7 +113,7 @@ def test_nullspace_is_the_kernel(order, m, n, r):
     mat = mat_mul(rand_mat(rng, order, m, r), rand_mat(rng, order, r, n))
     rk = rank(mat, n)
     assert rk <= r
-    ker = nullspace(mat, n)
+    ker = nullspace(mat, n, zero)
     assert len(ker) == n - rk
     for v in ker:
         assert not any(mat_vec(mat, v, zero))

@@ -108,15 +108,6 @@ def test_characters_weyl_asymmetry_matches_class():
 # -- hom_space against the intertwining equations -----------------------
 
 
-def _global(rep, g):
-    """The dense matrix of generator g on the whole of rep."""
-    m = [[rep.zero()] * rep.dim for _ in range(rep.dim)]
-    for src, ent in rep.columns(g).items():
-        for dst, c in ent:
-            m[dst][src] = c
-    return m
-
-
 def _intertwiner_count(a, b):
     """dim Hom(A, B), counted apart from hom_space: the kernel of the
     equations X(lam + shift) A_g(lam) = B_g(lam) X(lam) on the blocks of a
@@ -143,7 +134,7 @@ def _intertwiner_count(a, b):
                         for k in range(b.dims[lam]):
                             row[index[(lam, k, j)]] -= bg[i][k]
                     rows.append(row)
-    return len(nullspace(rows, len(index)))
+    return len(nullspace(rows, len(index), a.zero()))
 
 
 L4, M4 = W(0, 1), W(1, 0)                     # weights over Q(i)
@@ -196,15 +187,33 @@ def test_hom_space_maps_intertwine_and_match_an_independent_count(name):
     assert a.order == b.order == int(name[1 : name.index("-")])
     homs = hom_space(a, b)
     assert len(homs) == _intertwiner_count(a, b)
+    shared = [lam for lam in a.weights_sorted() if lam in b.dims]
     for h in homs:
-        for i in range(b.dim):
-            for j in range(a.dim):
-                if h[i][j]:
-                    assert b.weight_of(i) == a.weight_of(j)
+        assert list(h) == shared
+        for lam in shared:
+            assert len(h[lam]) == b.dims[lam]
+            assert all(len(row) == a.dims[lam] for row in h[lam])
+        # h[lam + shift] A_g(lam) = B_g(lam) h[lam] on every block
         for g in GENS:
-            assert mat_mul(h, _global(a, g)) == mat_mul(_global(b, g), h), g
+            for lam in a.weights_sorted():
+                mu = lam + gen_shift(g)
+                if mu not in b.dims:
+                    continue
+                shape = (b.dims[mu], a.dims[lam])
+                left = _product(h.get(mu), a.block(g, lam), shape, a.zero())
+                right = _product(b.block(g, lam), h.get(lam), shape, a.zero())
+                assert left == right, (g, lam)
+    flat = [[x for lam in shared for row in h[lam] for x in row] for h in homs]
     if homs:
-        assert rank([[x for row in h for x in row] for h in homs], a.dim * b.dim) == len(homs)
+        assert rank(flat, len(flat[0])) == len(homs)
+
+
+def _product(x, y, shape, zero):
+    """The matrix product x y of the given shape; a factor that is None
+    (a block that vanishes by grading) makes it zero."""
+    if x is None or y is None:
+        return [[zero] * shape[1] for _ in range(shape[0])]
+    return mat_mul(x, y)
 
 
 def test_hom_space_raises_when_generators_fail_to_span(monkeypatch):
