@@ -20,7 +20,6 @@ from . import kl, qseries
 from .exact import fmt_rat
 from .repmod import character, irreducible, verma
 from .rules import (
-    LoewyDiagram,
     ModuleLabel,
     UnsupportedCase,
     parse_label,

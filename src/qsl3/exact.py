@@ -1,14 +1,14 @@
 """Exact scalars: rationals and cyclotomic number fields Q(zeta_N).
 
 Every matrix entry in this package is a CycNum, an element of Q(zeta_N)
-stored as a polynomial in zeta_N canonically reduced modulo the N-th
-cyclotomic polynomial.  Orders are restricted to multiples of 4 so that
-i = zeta_4 always embeds.
+stored as integer numerators over one positive denominator, canonically
+reduced modulo the N-th cyclotomic polynomial.  Orders are restricted to
+multiples of 4 so that i = zeta_4 always embeds.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 Rat = Fraction
 
@@ -37,52 +37,42 @@ def fmt_rat(x):
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
-    """Coefficient tuple (low degree first) of the n-th cyclotomic polynomial.
+    """Integer coefficient tuple (low degree first) of the n-th cyclotomic polynomial.
 
     Computed by dividing x^n - 1 by Phi_d for every proper divisor d of n.
-    Division is exact over Z.
+    Every Phi_d is monic, so each division is exact over Z.
     """
-    # x^n - 1
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _polydiv_exact(poly, cyclotomic_poly(d))
+            div = cyclotomic_poly(d)
+            dd = len(div) - 1
+            quot = [0] * (len(poly) - dd)
+            for k in range(len(poly) - 1, dd - 1, -1):
+                c = quot[k - dd] = poly[k]
+                if c:
+                    for j in range(dd + 1):
+                        poly[k - dd + j] -= c * div[j]
+            assert not any(poly[:dd]), "non-exact polynomial division"
+            poly = quot
     return tuple(poly)
-
-
-def _polydiv_exact(num, den):
-    """Exact polynomial division num / den over Q (remainder must vanish)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
-        quot[k - dd] = c
-        if c:
-            for j in range(dd + 1):
-                num[k - dd + j] -= c * den[j]
-    assert all(c == 0 for c in num[:dd]), "non-exact polynomial division"
-    return quot
 
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n):
-    """x^k mod Phi_n for k = deg(Phi_n) .. n-1, as coeff tuples."""
+    """x^k mod Phi_n for k = deg(Phi_n) .. n-1, each as its nonzero (j, coeff) pairs."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
-    rows = []
     # x^deg = -(phi[0] + phi[1] x + ... ) since Phi_n is monic
-    cur = [-c for c in phi[:deg]]
-    rows.append(tuple(cur))
-    for _ in range(n - deg - 1):
-        nxt = [Fraction(0)] + cur[:-1]
+    first = [-c for c in phi[:deg]]
+    cur = first
+    rows = []
+    for _ in range(n - deg):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
         top = cur[-1]
+        cur = [0] + cur[:-1]
         if top:
-            for j in range(deg):
-                nxt[j] += top * rows[0][j]
-        cur = nxt
-        rows.append(tuple(cur))
+            cur = [x + top * y for x, y in zip(cur, first)]
     return tuple(rows)
 
 
@@ -90,31 +80,93 @@ def field_degree(n):
     return len(cyclotomic_poly(n)) - 1
 
 
+def _reduce(raw, order):
+    """Integer coefficients of sum(raw[k] zeta^k) modulo Phi_order, for
+    deg(Phi_order) <= len(raw) <= order."""
+    deg = field_degree(order)
+    out = raw[:deg]
+    for k, row in enumerate(_reduction_rows(order)[: len(raw) - deg], deg):
+        c = raw[k]
+        if c:
+            for j, r in row:
+                out[j] += c * r
+    return out
+
+
+def _make(order, nums, den):
+    """The CycNum sum(nums[k] zeta^k) / den, cancelled to canonical form.
+
+    The one private constructor: it divides by gcd(den, *nums) and does no
+    validation; den must be positive.
+    """
+    g = gcd(den, *nums)
+    x = object.__new__(CycNum)
+    x.order = order
+    x.coeffs = tuple(c // g for c in nums) if g != 1 else tuple(nums)
+    x.den = den // g
+    return x
+
+
+def _mul(a, b):
+    """a * b for two elements of one field: the one product path.
+
+    Zero coefficients are skipped, so a rational or monomial operand costs
+    one row of work.  deg(Phi_N) <= N/2, so the raw product never reaches
+    zeta^N and needs no folding.
+    """
+    deg = len(a.coeffs)
+    nz = [(l, y) for l, y in enumerate(b.coeffs) if y]
+    raw = [0] * (2 * deg - 1)
+    for k, x in enumerate(a.coeffs):
+        if x:
+            for l, y in nz:
+                raw[k + l] += x * y
+    return _make(a.order, _reduce(raw, a.order), a.den * b.den)
+
+
+def _substitute(x, step, order):
+    """The image of x under zeta_{x.order} -> zeta_order^step, in Q(zeta_order).
+
+    With order = x.order and step a unit mod order this is the Galois
+    automorphism sigma_step; with order = M * x.order and step = M it is
+    the embedding into Q(zeta_order).
+    """
+    raw = [0] * order
+    for j, c in enumerate(x.coeffs):
+        if c:
+            raw[j * step % order] += c
+    return _make(order, _reduce(raw, order), x.den)
+
+
 class CycNum:
     """An element of Q(zeta_N), N divisible by 4.
 
-    coeffs has length deg(Phi_N) and gives the canonical representative
-    modulo Phi_N, so equality is coefficientwise.
+    The value is sum(coeffs[k] zeta_N^k) / den with integer coeffs of
+    length deg(Phi_N), den > 0 and gcd(den, *coeffs) == 1.  This form is
+    canonical, so equality compares the fields directly.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "den")
 
     def __init__(self, order, coeffs):
         if order % 4 != 0:
             raise FieldMismatch(f"order {order} not divisible by 4")
         deg = field_degree(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != deg:
             raise ValueError(f"need {deg} coefficients for order {order}, got {len(coeffs)}")
+        # the lcm of reduced denominators leaves gcd(den, *numerators) == 1
+        den = lcm(*(c.denominator for c in coeffs))
         self.order = order
-        self.coeffs = coeffs
+        self.coeffs = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rat(x, order):
-        deg = field_degree(order)
-        return CycNum(order, (Fraction(x),) + (Fraction(0),) * (deg - 1))
+        x = Fraction(x)
+        return _make(order, [x.numerator] + [0] * (field_degree(order) - 1), x.denominator)
 
     @staticmethod
     def zero(order):
@@ -127,24 +179,22 @@ class CycNum:
     @staticmethod
     def zeta(order, power=1):
         """zeta_order^power, canonically reduced."""
-        deg = field_degree(order)
-        power %= order
-        raw = [Fraction(0)] * order
-        raw[power] = Fraction(1)
-        return CycNum(order, _reduce(raw, order, deg))
+        raw = [0] * order
+        raw[power % order] = 1
+        return _make(order, _reduce(raw, order), 1)
 
     # -- structure ----------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rat(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_rat(self):
         if not self.is_rat():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0], self.den)
 
     def embed(self, order):
         """Image under Q(zeta_N) -> Q(zeta_M) for N | M, zeta_N -> zeta_M^{M/N}."""
@@ -152,11 +202,7 @@ class CycNum:
             return self
         if order % self.order != 0:
             raise FieldMismatch(f"no embedding of Q(zeta_{self.order}) into Q(zeta_{order})")
-        step = order // self.order
-        raw = [Fraction(0)] * (order + len(self.coeffs) * step)
-        for k, c in enumerate(self.coeffs):
-            raw[k * step] += c
-        return CycNum(order, _reduce(raw, order, field_degree(order)))
+        return _substitute(self, order // self.order, order)
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction)):
@@ -164,7 +210,7 @@ class CycNum:
         if not isinstance(other, CycNum):
             return None, None
         if other.order != self.order:
-            m = self.order * other.order // gcd(self.order, other.order)
+            m = lcm(self.order, other.order)
             return self.embed(m), other.embed(m)
         return self, other
 
@@ -174,18 +220,20 @@ class CycNum:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return CycNum(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        return _make(a.order, [x * db + y * da for x, y in zip(a.coeffs, b.coeffs)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.order, tuple(-x for x in self.coeffs))
+        return _make(self.order, [-x for x in self.coeffs], self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return CycNum(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        return _make(a.order, [x * db - y * da for x, y in zip(a.coeffs, b.coeffs)], da * db)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -194,44 +242,30 @@ class CycNum:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if b.is_rat():
-            r = b.coeffs[0]
-            return CycNum(a.order, tuple(x * r for x in a.coeffs))
-        if a.is_rat():
-            r = a.coeffs[0]
-            return CycNum(b.order, tuple(x * r for x in b.coeffs))
-        deg = len(a.coeffs)
-        raw = [Fraction(0)] * (2 * deg - 1)
-        for k, x in enumerate(a.coeffs):
-            if x:
-                for l, y in enumerate(b.coeffs):
-                    if y:
-                        raw[k + l] += x * y
-        return CycNum(a.order, _reduce(raw, a.order, deg))
+        return _mul(a, b)
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse via extended Euclid in Q[x] modulo Phi_N."""
+        """Multiplicative inverse by the Galois norm.
+
+        u = prod of sigma_k(x) over the units k != 1 mod N gives
+        x * u = N(x), a nonzero rational, so x^-1 = u / N(x).  Q(zeta_N) is
+        a CM field, so N(x) = prod |sigma_k(x)|^2 over half the units is
+        positive and the denominator stays positive.
+        """
         if self.is_zero():
             raise DivisionByZero("inversion of zero in cyclotomic field")
+        order = self.order
         if self.is_rat():
-            return CycNum.from_rat(1 / self.coeffs[0], self.order)
-        phi = list(cyclotomic_poly(self.order))
-        a = list(self.coeffs)
-        # extended Euclid: find u with u*a + v*phi = gcd = const
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        assert r1 and r1[0] != 0
-        c = r1[0]
-        deg = len(self.coeffs)
-        u = [x / c for x in s1]
-        u += [Fraction(0)] * max(0, deg - len(u))
-        return CycNum(self.order, _reduce(u, self.order, deg))
+            return CycNum.from_rat(Fraction(self.den, self.coeffs[0]), order)
+        u = None
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                s = _substitute(self, k, order)
+                u = s if u is None else _mul(u, s)
+        norm = _mul(self, u)
+        return _make(order, [c * norm.den for c in u.coeffs], u.den * norm.coeffs[0])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -261,19 +295,20 @@ class CycNum:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return a.coeffs == b.coeffs
+        return a.coeffs == b.coeffs and a.den == b.den
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.coeffs, self.den))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
         terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, n in enumerate(self.coeffs):
+            if n == 0:
                 continue
+            c = Fraction(n, self.den)
             if k == 0:
                 terms.append(fmt_rat(c))
             else:
@@ -282,71 +317,11 @@ class CycNum:
         return " + ".join(terms) if terms else "0"
 
     def to_json(self):
-        return {"N": self.order, "coeffs": [fmt_rat(c) for c in self.coeffs]}
+        return {"N": self.order, "coeffs": [fmt_rat(Fraction(c, self.den)) for c in self.coeffs]}
 
     @staticmethod
     def from_json(obj):
         return CycNum(obj["N"], [parse_rat(c) for c in obj["coeffs"]])
-
-
-def _trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return list(p)
-
-
-def _polydivmod(num, den):
-    num = list(num)
-    den = _trim(den)
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dd:
-        return [Fraction(0)], _trim(num)
-    quot = [Fraction(0)] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
-        quot[k - dd] = c
-        if c:
-            for j in range(dd + 1):
-                num[k - dd + j] -= c * den[j]
-    return _trim(quot), _trim(num[:dd] or [Fraction(0)])
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for k, x in enumerate(a):
-        if x:
-            for l, y in enumerate(b):
-                out[k + l] += x * y
-    return out
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _reduce(raw, order, deg):
-    """Reduce a raw coefficient list (any length) modulo Phi_order.
-
-    First folds exponents modulo order (zeta^order = 1), then kills the
-    degrees >= deg using the cached reduction rows.
-    """
-    folded = [Fraction(0)] * order
-    for k, c in enumerate(raw):
-        if c:
-            folded[k % order] += c
-    rows = _reduction_rows(order) if deg > 1 else ()
-    out = folded[:deg]
-    for k in range(deg, order):
-        c = folded[k]
-        if c:
-            row = rows[k - deg]
-            for j in range(deg):
-                out[j] += c * row[j]
-    return tuple(out)
 
 
 def i_power(x, order):
@@ -363,8 +338,4 @@ def i_power(x, order):
 
 def field_order_for(denominators):
     """Smallest valid order 4*lcm(dens) covering the given denominators."""
-    m = 1
-    for d in denominators:
-        d = int(d)
-        m = m * d // gcd(m, d)
-    return 4 * m
+    return 4 * lcm(*(int(d) for d in denominators))

@@ -780,10 +780,6 @@ THREE_HALF_RHO = Fraction(3, 2) * RHO
 _OCT_REPS_INT = {0: ZERO, 1: RHO, 2: -RHO}
 _OCT_REPS_HALF = {0: -HALF_RHO, 1: HALF_RHO, 2: THREE_HALF_RHO}
 
-# ground-state conformal weights of the simple currents along Q
-SIMPLE_CURRENT_DELTA = {"zero": Fraction(0), "alpha": Fraction(5, 3), "3omega": Fraction(4)}
-
-
 def _oct_class_index(family, w):
     mu = w if family in _OCT_INT_CLASS else w + HALF_RHO
     if not lattice_member(mu, "Q"):

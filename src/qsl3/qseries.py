@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .exact import fmt_rat
 from .repmod import Character
-from .weights import ZERO, Weight, killing
+from .weights import ZERO, killing
 
 # central charge of the affine algebra the coset decomposes
 CENTRAL_CHARGE = Fraction(-8)

@@ -11,7 +11,7 @@ condition below is keyed on these.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import fmt_rat, parse_rat
+from .exact import fmt_rat
 from .weights import (
     ALPHA,
     ALPHA1,

@@ -62,7 +62,6 @@ RHO = Weight(1, 1)
 
 ALPHA = {1: ALPHA1, 2: ALPHA2, 3: ALPHA3}
 OMEGA = {1: OMEGA1, 2: OMEGA2, 3: OMEGA3}
-RHO_PAIRING = {1: Fraction(1), 2: Fraction(1), 3: Fraction(2)}  # <rho, alpha_i>
 
 
 def parse_weight(s):
@@ -172,14 +171,6 @@ def lattice_member(lam, lattice, base=None):
     if lattice == "3P":
         return lattice_member(Fraction(1, 3) * lam, "P")
     raise ValueError(f"unknown lattice {lattice!r}")
-
-
-# Weyl group of A2 acting on weights (omega coordinates); s_i is the
-# reflection in alpha_i, w act as matrices on (c1, c2).
-_WEYL_GENS = {
-    1: lambda w: Weight(-w.c1, w.c1 + w.c2),
-    2: lambda w: Weight(w.c1 + w.c2, -w.c2),
-}
 
 
 def weyl_reflect(lam, i):

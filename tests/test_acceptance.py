@@ -14,7 +14,7 @@ from qsl3.algebra import dual_rep, tensor_action
 from qsl3.cli import _rule_samples
 from qsl3.kl import AffineLabel, CosetLabel, OctLabel, affine_fuse, conj
 from qsl3.repmod import character, irreducible, irreducible_character, verma, verma_character
-from qsl3.rules import ModuleLabel, static_char, static_loewy, tensor_rule
+from qsl3.rules import ModuleLabel, static_loewy, tensor_rule
 from qsl3.structure import (
     build_reference,
     loewy,
@@ -33,7 +33,6 @@ from qsl3.weights import (
     RHO,
     ZERO,
     Weight,
-    classify,
 )
 
 import test_qseries as qso

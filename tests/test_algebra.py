@@ -18,7 +18,7 @@ from qsl3.algebra import (
 from qsl3.exact import i_power
 from qsl3.repmod import character, hom_space, irreducible, verma
 from qsl3.structure import socle_subspace
-from qsl3.weights import ALPHA, Weight, killing
+from qsl3.weights import ALPHA, killing
 
 from conftest import TAGS, W, sample_class
 

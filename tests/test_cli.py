@@ -1,11 +1,9 @@
 """End-to-end CLI tests: outputs validate against the shipped schemas."""
 
 import json
-from fractions import Fraction
 from importlib.resources import files
 
 import jsonschema
-import pytest
 
 from qsl3.cli import main
 from qsl3.rules import ModuleLabel

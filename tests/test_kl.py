@@ -28,7 +28,6 @@ from qsl3.kl import (
     grothendieck_check,
     induce,
     line_rep,
-    oct_factors,
     oct_fuse,
     oct_gr_fuse,
     oct_induce,

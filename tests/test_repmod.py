@@ -19,7 +19,7 @@ from qsl3.repmod import (
     verma,
     verma_character,
 )
-from qsl3.weights import ALPHA1, ALPHA2, ALPHA3, ZERO, Weight, classify
+from qsl3.weights import ALPHA1, ALPHA2, ALPHA3, ZERO
 
 from conftest import TAGS, W, sample_class
 

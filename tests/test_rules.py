@@ -16,7 +16,7 @@ from qsl3.rules import (
     static_loewy,
     tensor_rule,
 )
-from qsl3.weights import ALPHA, ALPHA1, ALPHA3, Weight, classify
+from qsl3.weights import ALPHA, ALPHA1, ALPHA3, classify
 
 from conftest import TENSOR_BRANCHES, W, branch_pairs, from_indices
 

@@ -35,3 +35,18 @@ def test_tracer_installs_traces_hom_space_and_uninstalls():
     assert metrics["repmod.hom_space.unknowns_sum"][0] == 1  # seen via generating_indices
     assert metrics["repmod.hom_space.result_dim_sum"][0] == 1
     assert metrics["linalg.echelon_add.calls"][0] > 0
+
+
+def test_tracer_counts_an_inverse_as_one_inv_and_no_product():
+    x = exact.CycNum.zeta(24) + exact.CycNum.zeta(24, 5) * 3 - 2
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        y = x.inv()
+    finally:
+        tracer.uninstall()
+    assert x * y == 1
+    metrics = tracer.metrics()
+    assert metrics["exact.inv.calls"][0] == 1
+    assert all(metrics[f"exact.mul.calls.o{o}"][0] == 0 for o in (4, 8, 12, 24))
+    assert metrics["exact.add.calls"][0] == metrics["exact.sub.calls"][0] == 0
