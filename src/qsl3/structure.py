@@ -4,14 +4,31 @@ and direct-sum verification certificates.
 
 Submodules of a WeightRep are handled as graded subspaces
 {Weight: [block vectors]} in the coordinates of the ambient module.
+
+Every Hom space computed here spins the small side: `hom_space(A, B)`
+spins A, and A is always an irreducible or a reference module, never the
+module under study.  The socle is the sum of the images of maps L -> V, the
+radical is read through the dual module's socle, rad V = (soc V^#)^perp,
+and a decomposition is certified by maps X -> t alone.
+
+The memo dicts (`_IRR_CACHE`, `_CHAIN_CACHE`, `_REF_CACHE`) each keep their
+`CACHE_SIZE` most recently used entries.
 """
 
 import math
 
-from .exact import InternalInconsistency
-from .linalg import nullspace, rank as mat_rank
-from .weights import Weight, classify
-from .algebra import echelon_basis, express_in_basis, sub_rep, quotient_rep, tensor_action
+from .exact import CycNum, InternalInconsistency
+from .linalg import nullspace
+from .weights import classify
+from .algebra import (
+    dual_rep,
+    echelon_basis,
+    express_in_basis,
+    graded_echelons,
+    sub_rep,
+    quotient_rep,
+    tensor_action,
+)
 from .repmod import (
     Character,
     character,
@@ -57,29 +74,50 @@ def subspace_dim(sub):
     return sum(len(v) for v in sub.values())
 
 
+# Entries kept by each memo dict.  The Loewy diagrams of 18 modules (about
+# 50 irreducibles) fit well inside it; longer use evicts the least recent.
+CACHE_SIZE = 128
+
+
+def _memo(cache, key, build):
+    """cache[key], from build() on a miss.  The dict is kept in order of
+    last use, and its least recently used entry goes once it holds
+    CACHE_SIZE entries."""
+    if key in cache:
+        value = cache.pop(key)
+    else:
+        value = build()
+        if len(cache) >= CACHE_SIZE:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
 _IRR_CACHE = {}
 
 
 def _irr_cache(order):
-    def get(w):
-        key = (w, order)
-        if key not in _IRR_CACHE:
-            _IRR_CACHE[key] = irreducible(w, order)
-        return _IRR_CACHE[key]
-
-    return get
+    return lambda w: _memo(_IRR_CACHE, (w, order), lambda: irreducible(w, order))
 
 
 def radical_subspace(v, irr=None):
-    """rad V = intersection of kernels of all maps V -> irreducible."""
+    """rad V = (soc V^#)^perp, for V^# = dual_rep(V).
+
+    V^# has the weights of V, and its basis at each weight is the dual
+    basis, with every generator acting by a scaled transpose.  So a graded
+    subspace W of V is a submodule exactly when its annihilator W^perp is a
+    submodule of V^#, and the maximal submodules of V are the annihilators
+    of the simple submodules of V^#.  Their intersection rad V is therefore
+    the annihilator of soc V^#, which `socle_subspace` finds by spinning the
+    irreducibles alone.  Each weight's basis is the `nullspace` of the socle
+    vectors there: the reduced echelon basis of the annihilator, the same
+    basis that the kernels of all maps V -> L give.
+    """
     irr = irr or _irr_cache(v.order)
-    homs = []
-    for w in _factor_weights(v):
-        homs.extend(hom_space(v, irr(w)))
+    soc = socle_subspace(dual_rep(v), irr)
     out = {}
     for lam in v.weights_sorted():
-        rows = [r for h in homs for r in h.get(lam, ()) if any(r)]
-        basis = nullspace(rows, v.dims[lam], v.zero())
+        basis = nullspace(soc.get(lam, ()), v.dims[lam], v.zero())
         if basis:
             out[lam] = basis
     return out
@@ -125,12 +163,7 @@ def radical_chain(v):
 
     Stops when the radical vanishes.  Entry j-1 describes rad^j V.
     """
-    hit = _CHAIN_CACHE.get(id(v))
-    if hit is not None and hit[0] is v:
-        return hit[1]
-    chain = _radical_chain(v)
-    _CHAIN_CACHE[id(v)] = (v, chain)
-    return chain
+    return _memo(_CHAIN_CACHE, id(v), lambda: (v, _radical_chain(v)))[1]
 
 
 def _radical_chain(v):
@@ -343,8 +376,10 @@ def build_reference(label, order=None):
     if order is None:
         order = default_order(label.weight)
     key = (repr(label), getattr(label, "variant", None), order)
-    if key in _REF_CACHE:
-        return _REF_CACHE[key]
+    return _memo(_REF_CACHE, key, lambda: _build_reference(label, order))
+
+
+def _build_reference(label, order):
     lam = label.weight
     cls = classify(lam)
     if label.family == "L" or (label.family == "P" and cls.tag == "typical"):
@@ -368,7 +403,6 @@ def build_reference(label, order=None):
         if character(out).terms != static_char(label).terms:
             raise InternalInconsistency(f"reference for {label!r} has wrong character")
     out.label = repr(label)
-    _REF_CACHE[key] = out
     return out
 
 
@@ -378,12 +412,31 @@ def build_reference(label, order=None):
 def verify_decomposition(t, expr, order=None):
     """Certify that the module t is isomorphic to the direct sum `expr`.
 
-    Checks, exactly: (1) character equality; (2) for every summand X with
-    multiplicity m, there are maps X -> t and t -> X whose pairwise
-    composites have rank >= m on the (one-dimensional) top weight space of
-    X, which splits off X^m by locality of End(X); (3) the images of all
-    maps X -> t over all summands jointly span t.  Raises
-    VerificationFailure with a reason, or returns a report dict.
+    The characters must be equal, so dim t = sum m dim X, and a surjective
+    module map from the sum of the X^m onto t is an isomorphism.  The
+    certificate is such a map, built from maps X -> t alone.  For a summand
+    X of multiplicity m, with basis h_0 .. h_{d-1} of Hom(X, t), attempt
+    s = 1, 2, ... takes the m combinations sum_i x^i h_i at the points
+    x = s (first copy) and x = (s+1)^(d^k) (copy k >= 1), so every
+    coefficient is a nonzero integer.  It passes when the images of all
+    combinations, over all summands, span every weight space of t.
+
+    A false claim fails every attempt, and VerificationFailure is raised
+    after attempt 1 + sum d^m.  A true claim passes before that.  Write
+    t = sum X^m with the X pairwise non-isomorphic indecomposables; End(X)
+    is local, and acts on the one-dimensional top weight space of X by
+    scalars, so it is the ground field modulo its radical.  Maps between
+    different summands lie in the radical of the category, so the combined
+    map is invertible exactly when, for each X, the m x m matrix V R is:
+    R (d x m, rank m) holds the classes of the h_i modulo the radical, V
+    (m x d) the coefficients x_k^i.  By Cauchy-Binet, det(V R) is a nonzero
+    polynomial in independent x_0 .. x_{m-1}, of degree below d in each.
+    With u = s + 1 it becomes sum_a P_a(u - 1) u^(d N_a), deg P_a < d, the
+    N_a distinct (base-d digits): nonzero in s, of degree below d^m.  So
+    fewer than sum d^m attempts fail; for m = 1, sum d + 1 points suffice.
+
+    Returns a report: "summands" lists (label, m, dim Hom(X, t)), and
+    "attempts" the number of attempts used.
     """
     report = {"summands": []}
     total = Character({})
@@ -394,43 +447,41 @@ def verify_decomposition(t, expr, order=None):
     refs = [build_reference(lbl, order or t.order) for lbl, _ in expr]
     common = math.lcm(t.order, *(ref.order for ref in refs))
     t = t.embed(common)
-    images = {}
+    into = []
     for (lbl, m), ref in zip(expr, refs):
-        ref = ref.embed(common)
-        into = hom_space(ref, t)
-        onto = hom_space(t, ref)
-        if len(into) < m or len(onto) < m:
+        maps = hom_space(ref.embed(common), t)
+        if len(maps) < m:
             raise VerificationFailure(
-                f"{lbl!r}: hom counts {len(into)}/{len(onto)} below multiplicity {m}"
+                f"{lbl!r}: {len(maps)} maps into the module, below multiplicity {m}"
             )
-        top = max(ref.weights_sorted(), key=Weight.sort_key)
-        if ref.dims[top] != 1:
-            raise InternalInconsistency(f"{lbl!r}: top weight space not one-dimensional")
-        # the composites X -> t -> X on the top weight space of X
-        cols = [[row[0] for row in q[top]] for q in into]
-        smat = []
-        for p in onto:
-            (prow,) = p[top]
-            row = []
-            for col in cols:
-                acc = t.zero()
-                for x, y in zip(prow, col):
-                    if x and y:
-                        acc = acc + x * y
-                row.append(acc)
-            smat.append(row)
-        r = mat_rank(smat, len(into)) if smat else 0
-        if r < m:
-            raise VerificationFailure(
-                f"{lbl!r}: split rank {r} below multiplicity {m}"
-            )
-        for q in into:
-            for lam, col in image_columns(q):
-                images.setdefault(lam, []).append(col)
-        report["summands"].append((repr(lbl), m, len(into), len(onto), r))
-    span = echelon_basis(t, images)
-    for lam, d in t.dims.items():
-        if len(span.get(lam, ())) != d:
-            raise VerificationFailure(f"images do not span weight {lam!r}")
-    report["spanned"] = True
-    return report
+        into.append((m, maps))
+        report["summands"].append((repr(lbl), m, len(maps)))
+    bound = 1 + sum(len(maps) ** m for m, maps in into)
+    for s in range(1, bound + 1):
+        images = {}
+        for m, maps in into:
+            d = len(maps)
+            for x in [s] + [(s + 1) ** (d**k) for k in range(1, m)]:
+                coeffs = [CycNum.from_rat(x**i, common) for i in range(d)]
+                for lam, col in image_columns(_combination(maps, coeffs, t.zero())):
+                    images.setdefault(lam, []).append(col)
+        spans = graded_echelons(t, images)
+        if all(lam in spans and spans[lam].rank == n for lam, n in t.dims.items()):
+            report["attempts"] = s
+            report["spanned"] = True
+            return report
+    raise VerificationFailure(f"no combination of the maps into the module spans it ({bound} tried)")
+
+
+def _combination(maps, coeffs, zero):
+    """The module map sum_i coeffs[i] maps[i], block by block."""
+    out = {}
+    for lam, blk in maps[0].items():
+        acc = [[zero] * len(blk[0]) for _ in blk]
+        for h, c in zip(maps, coeffs):
+            for arow, hrow in zip(acc, h[lam]):
+                for j, x in enumerate(hrow):
+                    if x:
+                        arow[j] = arow[j] + c * x
+        out[lam] = acc
+    return out

@@ -105,7 +105,8 @@ def test_verify_decomposition_lifts_module_and_references_to_one_field():
     assert t.order == 8 and repr(expr) == "K(16)[1,-2]"
     report = verify_decomposition(t, expr, order=24)
     assert report["spanned"]
-    assert report["summands"] == [("K(16)[1,-2]", 1, 3, 3, 1)]
+    assert report["summands"] == [("K(16)[1,-2]", 1, 3)]
+    assert report["attempts"] == 1
 
 
 def test_self_duality_of_projectives():
