@@ -1,10 +1,13 @@
 """Concrete modules: Vermas, irreducible quotients, characters, Hom spaces.
 
 The Verma M_lambda is built on the PBW basis X_-1^{n1} X_-3^{n3} X_-2^{n2}
-m_lambda (lex order in (n1, n3, n2)).  Internally the nilpotent part is
-handled on reduced lowering words in the letters 1, 2 (for X_-1, X_-2) with
-the rewriting rules a^2 = b^2 = 0 and baba = abab; raising operators are
-pushed through a word with the commutator relation.
+m_lambda (lex order in (n1, n3, n2)).  On this basis the lowering matrices
+X_-1, X_-2 do not depend on lambda, and each raising matrix splits as
+X_j = q_j A_j + q_j^-1 B_j with q_j = i^<lambda, alpha_j> and A_j, B_j
+constant: pushing X_j through a lowering word only meets the commutator
+[X_j, X_-j] = (K_j - K_j^-1)/(2i), whose value on a weight vector is a
+constant multiple of q_j minus one of q_j^-1.  These constant matrices are
+the literal table _PBW_TABLE, with entries in Q(i).
 """
 
 import math
@@ -12,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import CycNum, InternalInconsistency, field_order_for, fmt_rat, i_power
-from .linalg import Echelon, invert, mat_mul, nullspace
+from .linalg import Echelon, mat_mul, nullspace
 from .weights import (
     ALPHA,
     ALPHA1,
@@ -22,117 +25,66 @@ from .weights import (
     classify,
     killing,
 )
-from .algebra import GENS, WeightRep, gen_shift
+from .algebra import GENS, WeightRep, quotient_rep
 
-# the eight reduced lowering words (letters name the simple root lowered)
-WORDS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1), (2, 1, 2), (1, 2, 1, 2))
-# the eight PBW exponent triples (n1, n3, n2), lex order
-PBW = tuple((n1, n3, n2) for n1 in (0, 1) for n3 in (0, 1) for n2 in (0, 1))
+# the k-th PBW monomial, k running over (n1, n3, n2) in lex order, lowers
+# the weight by PBW_DEPTH[k]
+PBW_DEPTH = tuple(
+    n1 * ALPHA1 + n3 * ALPHA3 + n2 * ALPHA2 for n1 in (0, 1) for n3 in (0, 1) for n2 in (0, 1)
+)
 
-
-def word_weight(lam, w):
-    out = lam
-    for letter in w:
-        out = out - ALPHA[letter]
-    return out
-
-
-def pbw_weight(lam, e):
-    n1, n3, n2 = e
-    return lam - n1 * ALPHA1 - n3 * ALPHA3 - n2 * ALPHA2
-
-
-def reduce_word(w):
-    """Normal form of a lowering word, or None if it is zero.
-
-    Rules: adjacent equal letters kill the word; the subword (2,1,2,1)
-    rewrites to (1,2,1,2).
-    """
-    w = tuple(w)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(w) - 1):
-            if w[k] == w[k + 1]:
-                return None
-        for k in range(len(w) - 3):
-            if w[k : k + 4] == (2, 1, 2, 1):
-                w = w[:k] + (1, 2, 1, 2) + w[k + 4 :]
-                changed = True
-                break
-    return w if len(w) <= 4 else None
-
-
-def lower_word(letter, elem):
-    """Apply X_{-letter} on the left of a word combination."""
-    out = {}
-    for w, c in elem.items():
-        nw = reduce_word((letter,) + w)
-        if nw is not None:
-            out[nw] = out.get(nw, CycNum.zero(c.order)) + c if nw in out else c
-    return {w: c for w, c in out.items() if c}
-
-
-def raise_word(j, w, lam, order):
-    """X_j applied to the word w acting on m_lambda, as {word: coeff}.
-
-    Uses X_j X_-g = X_-g X_j + delta_{jg} (K_j - K_j^-1)/(2i).
-    """
-    if not w:
-        return {}
-    g, rest = w[0], w[1:]
-    out = {}
-    inner = raise_word(j, rest, lam, order)
-    for w2, c in inner.items():
-        nw = reduce_word((g,) + w2)
-        if nw is not None:
-            out[nw] = out.get(nw, CycNum.zero(order)) + c
-    if j == g:
-        nu = word_weight(lam, rest)
-        x = killing(ALPHA[j], nu)
-        scal = (i_power(x, order) - i_power(-x, order)) * Fraction(1, 2) * i_power(-1, order)
-        if scal:
-            r = reduce_word(rest)
-            if r is not None:
-                out[r] = out.get(r, CycNum.zero(order)) + scal
-    return {w2: c for w2, c in out.items() if c}
-
-
-def _x_minus3(elem, order):
-    """X_-3 = -X_-2 X_-1 + i X_-1 X_-2 on a word combination."""
-    ii = i_power(1, order)
-    a = lower_word(2, lower_word(1, elem))
-    b = lower_word(1, lower_word(2, elem))
-    out = {}
-    for w, c in a.items():
-        out[w] = out.get(w, CycNum.zero(order)) - c
-    for w, c in b.items():
-        out[w] = out.get(w, CycNum.zero(order)) + ii * c
-    return {w: c for w, c in out.items() if c}
+_H = Fraction(1, 2)
+# The nonzero entries of the generators on the PBW basis, column by column
+# and down each column: (column, row, a, b) with a, b Gaussian rationals
+# written (real, imaginary).  The entry of X_j is q_j a + q_j^-1 b; that of
+# X_-j is a, and its b is 0.
+_PBW_TABLE = {
+    1: (
+        (2, 1, (0, 1), (0, 0)),
+        (4, 0, (0, -_H), (0, _H)),
+        (5, 1, (_H, 0), (_H, 0)),
+        (6, 2, (-_H, 0), (-_H, 0)),
+        (6, 5, (0, 1), (0, 0)),
+        (7, 3, (0, -_H), (0, _H)),
+    ),
+    2: (
+        (1, 0, (0, -_H), (0, _H)),
+        (2, 4, (0, 0), (-1, 0)),
+        (3, 2, (0, -_H), (0, _H)),
+        (3, 5, (0, 0), (1, 0)),
+        (5, 4, (0, -_H), (0, _H)),
+        (7, 6, (0, -_H), (0, _H)),
+    ),
+    -1: (
+        (0, 4, (1, 0), (0, 0)),
+        (1, 5, (1, 0), (0, 0)),
+        (2, 6, (1, 0), (0, 0)),
+        (3, 7, (1, 0), (0, 0)),
+    ),
+    -2: (
+        (0, 1, (1, 0), (0, 0)),
+        (2, 3, (0, -1), (0, 0)),
+        (4, 2, (-1, 0), (0, 0)),
+        (4, 5, (0, 1), (0, 0)),
+        (5, 3, (-1, 0), (0, 0)),
+        (6, 7, (1, 0), (0, 0)),
+    ),
+}
 
 
 @lru_cache(maxsize=None)
-def _pbw_word_matrix(order):
-    """Column k = expansion of the k-th PBW monomial in the word basis."""
-    one = CycNum.one(order)
-    widx = {w: i for i, w in enumerate(WORDS)}
-    cols = []
-    for n1, n3, n2 in PBW:
-        elem = {(): one}
-        for _ in range(n2):
-            elem = lower_word(2, elem)
-        for _ in range(n3):
-            elem = _x_minus3(elem, order)
-        for _ in range(n1):
-            elem = lower_word(1, elem)
-        col = [CycNum.zero(order)] * 8
-        for w, c in elem.items():
-            col[widx[w]] = c
-        cols.append(col)
-    mat = [[cols[k][r] for k in range(8)] for r in range(8)]
-    inv = invert(mat)
-    assert inv is not None
-    return mat, inv
+def _pbw_table(order):
+    """_PBW_TABLE in Q(zeta_order): {g: [(column, row, a, b)]}."""
+    i = i_power(1, order)
+
+    def gauss(z):
+        re, im = z
+        return CycNum.from_rat(re, order) + CycNum.from_rat(im, order) * i
+
+    return {
+        g: [(col, row, gauss(a), gauss(b)) for col, row, a, b in entries]
+        for g, entries in _PBW_TABLE.items()
+    }
 
 
 def default_order(lam, *more):
@@ -143,128 +95,74 @@ def default_order(lam, *more):
 
 
 def verma(lam, order=None):
-    """The 8-dimensional Verma module M_lambda on the PBW basis."""
+    """The 8-dimensional Verma module M_lambda on the PBW basis.
+
+    X_-j is read off _PBW_TABLE and X_j is q_j A_j + q_j^-1 B_j, entry by
+    entry, with q_j = i^<lambda, alpha_j>.  Each block is filled column by
+    column, in PBW order, and exists only where some entry of it is nonzero
+    at this lambda.
+    """
     if order is None:
         order = default_order(lam)
-    c2w, w2c = _pbw_word_matrix(order)  # word coords <- pbw coords, and inverse
     zero = CycNum.zero(order)
-    widx = {w: i for i, w in enumerate(WORDS)}
-
-    # generator matrices in the word basis
-    def wordmat(applyfn):
-        cols = []
-        for w in WORDS:
-            elem = applyfn({w: CycNum.one(order)})
-            col = [zero] * 8
-            for w2, c in elem.items():
-                col[widx[w2]] = c
-            cols.append(col)
-        return [[cols[k][r] for k in range(8)] for r in range(8)]
-
-    mats = {}
-    for j in (1, 2):
-        mats[-j] = wordmat(lambda e, j=j: lower_word(j, e))
-        mats[j] = wordmat(
-            lambda e, j=j: _merge(
-                [
-                    {w2: c0 * c for w2, c in raise_word(j, w, lam, order).items()}
-                    for w, c0 in e.items()
-                ],
-                order,
-            )
-        )
-    # transform into the PBW basis and carve into weight blocks
-    pbw_wts = [pbw_weight(lam, e) for e in PBW]
+    wts = [lam - d for d in PBW_DEPTH]
     dims = {}
     local = []
-    for mu in pbw_wts:
+    for mu in wts:
         local.append(dims.get(mu, 0))
         dims[mu] = dims.get(mu, 0) + 1
     blocks = {g: {} for g in GENS}
-    for g in GENS:
-        m = mat_mul(w2c, mat_mul(mats[g], c2w))
-        shift = gen_shift(g)
-        for col in range(8):
-            src = pbw_wts[col]
-            for row in range(8):
-                if m[row][col]:
-                    assert pbw_wts[row] == src + shift, "graded action violated"
-                    blk = blocks[g].setdefault(
-                        src,
-                        [[zero] * dims[src] for _ in range(dims.get(src + shift, 0))],
-                    )
-                    blk[local[row]][local[col]] = m[row][col]
+    for g, entries in _pbw_table(order).items():
+        if g > 0:
+            x = killing(ALPHA[g], lam)
+            q, qinv = i_power(x, order), i_power(-x, order)
+        for col, row, a, b in entries:
+            c = a if g < 0 else q * a + qinv * b
+            if c:
+                src = wts[col]
+                blk = blocks[g].setdefault(src, [[zero] * dims[src] for _ in range(dims[wts[row]])])
+                blk[local[row]][local[col]] = c
     return WeightRep(order, dims, blocks, label=f"M[{fmt_rat(lam.c1)},{fmt_rat(lam.c2)}]")
 
 
-def _merge(dicts, order):
-    out = {}
-    for d in dicts:
-        for w, c in d.items():
-            out[w] = out.get(w, CycNum.zero(order)) + c
-    return {w: c for w, c in out.items() if c}
-
-
-def _gram_word(lam, order):
-    """Contravariant form on the word basis: <m,m> = 1, X_{+-j} adjoint to X_{-+j}."""
-    one = CycNum.one(order)
-    zero = CycNum.zero(order)
-    cache = {}
-
-    def pair(w, wp):
-        if (w, wp) in cache:
-            return cache[(w, wp)]
-        if word_weight(lam, w) != word_weight(lam, wp):
-            val = zero
-        elif not w:
-            val = one if not wp else zero
-        else:
-            g, rest = w[0], w[1:]
-            val = zero
-            for w2, c in raise_word(g, wp, lam, order).items():
-                val = val + c * pair(rest, w2)
-        cache[(w, wp)] = val
-        return val
-
-    return [[pair(w, wp) for wp in WORDS] for w in WORDS]
-
-
-def contravariant_gram(lam, order=None):
-    """Gram matrices of the contravariant form on M_lambda, one per weight."""
-    if order is None:
-        order = default_order(lam)
-    c2w, _ = _pbw_word_matrix(order)
-    gw = _gram_word(lam, order)
-    # G_pbw = C^T G_word C
-    ct = [list(row) for row in zip(*c2w)]
-    gp = mat_mul(ct, mat_mul(gw, c2w))
-    pbw_wts = [pbw_weight(lam, e) for e in PBW]
-    out = {}
-    for mu in dict.fromkeys(pbw_wts):
-        idx = [k for k, w in enumerate(pbw_wts) if w == mu]
-        out[mu] = [[gp[r][c] for c in idx] for r in idx]
-    return out
-
-
 def irreducible(lam, order=None):
-    """L_lambda = M_lambda / radical of the contravariant form."""
+    """L_lambda = M_lambda / N, with N the maximal submodule.
+
+    N is read off the Verma's raising blocks from the top down: N(lambda) = 0
+    and N(mu) = {v : X_j v in N(mu + alpha_j) for j = 1, 2}, one nullspace
+    of the rows f X_j(mu) with f running over the annihilator of
+    N(mu + alpha_j).  So N is the set of vectors v such that no word u in
+    X_1, X_2 gives u v a nonzero component along m_lambda.
+
+    N is the radical of the contravariant form.  The form pairs distinct
+    weights to 0, <m_lambda, m_lambda> = 1 and X_-j is adjoint to X_j, so
+    <w m_lambda, v> = <m_lambda, u v> for a lowering word w and the raising
+    word u read backwards, and <m_lambda, u v> is the component of u v along
+    m_lambda.  The vectors w m_lambda span M_lambda, so v is in the radical
+    exactly when it is in N.  nullspace returns the reduced echelon basis
+    of N(mu), which depends on the subspace alone.
+    """
     if order is None:
         order = default_order(lam)
     m = verma(lam, order)
-    gram = contravariant_gram(lam, order)
-    from .algebra import quotient_rep
-
-    rad = {}
-    for mu, g in gram.items():
-        ker = nullspace(g, len(g), m.zero())
+    zero = m.zero()
+    rad, ann = {}, {}  # N(mu), and its annihilator when N(mu) != 0
+    for mu in reversed(m.weights_sorted()):
+        if mu == lam:
+            continue
+        rows = []
+        for j in (1, 2):
+            x = m.block(j, mu)
+            if x is not None:
+                nu = mu + ALPHA[j]
+                rows.extend(mat_mul(ann[nu], x) if nu in rad else x)
+        ker = nullspace(rows, m.dims[mu], zero)
         if ker:
             rad[mu] = ker
-    if not rad:
-        m.label = f"L[{fmt_rat(lam.c1)},{fmt_rat(lam.c2)}]"
-        return m
-    q, _ = quotient_rep(m, rad)
-    q.label = f"L[{fmt_rat(lam.c1)},{fmt_rat(lam.c2)}]"
-    return q
+            ann[mu] = nullspace(ker, m.dims[mu], zero)
+    out = quotient_rep(m, rad)[0] if rad else m
+    out.label = f"L[{fmt_rat(lam.c1)},{fmt_rat(lam.c2)}]"
+    return out
 
 
 # -- characters -------------------------------------------------------

@@ -11,7 +11,6 @@ from qsl3.linalg import mat_mul, nullspace, rank
 from qsl3.repmod import (
     Character,
     character,
-    contravariant_gram,
     default_order,
     hom_space,
     irreducible,
@@ -22,6 +21,7 @@ from qsl3.repmod import (
 from qsl3.weights import ALPHA1, ALPHA2, ALPHA3, ZERO
 
 from conftest import TAGS, W, sample_class
+from test_verma_differential import contravariant_gram
 
 
 def test_verma_is_eight_dimensional_with_product_character():
@@ -53,8 +53,6 @@ def test_gram_radical_matches_irreducible_codim():
     for tag, dim in zip(TAGS, (8, 4, 3, 1)):
         lam = sample_class(tag, 1, seed=22)[0]
         grams = contravariant_gram(lam)
-        from qsl3.linalg import rank
-
         r = sum(rank([list(row) for row in g], len(g)) for g in grams.values())
         assert r == dim
 
