@@ -12,7 +12,7 @@ Generator symbols are the integers 1, 2, -1, -2.
 import math
 from fractions import Fraction
 
-from .exact import CycNum, i_power
+from .exact import CycNum, InternalInconsistency, i_power
 from .linalg import Echelon, mat_mul
 from .weights import ALPHA, Weight, killing
 
@@ -360,9 +360,11 @@ def express_in_basis(basis_rows, vec, zero):
 def sub_rep(rep, sub_basis):
     """The submodule spanned by sub_basis, as a WeightRep.
 
-    sub_basis: {Weight: list of block vectors}, assumed closed under the
-    action.  Returns (subrep, ordered basis) where basis[lam] lists the
-    chosen (echelonized) block vectors giving the sub-rep coordinates.
+    sub_basis: {Weight: list of block vectors}, closed under the action.
+    Every caller passes a submodule it computed, so a basis that is not
+    closed is an internal fault and raises InternalInconsistency.  Returns
+    (subrep, ordered basis) where basis[lam] lists the chosen (echelonized)
+    block vectors giving the sub-rep coordinates.
     """
     z = rep.zero()
     basis = echelon_basis(rep, sub_basis)
@@ -380,10 +382,10 @@ def sub_rep(rep, sub_basis):
                     cols.append(None)
                     continue
                 if tgt not in basis:
-                    raise ValueError(f"not a submodule: image at {tgt} escapes")
+                    raise InternalInconsistency(f"not a submodule: image at {tgt} escapes")
                 x = express_in_basis(basis[tgt], img[1], z)
                 if x is None:
-                    raise ValueError(f"not a submodule: image at {tgt} escapes")
+                    raise InternalInconsistency(f"not a submodule: image at {tgt} escapes")
                 cols.append(x)
                 nonzero = True
             if nonzero and tgt in dims:

@@ -462,7 +462,6 @@ def _R(w, flow=ZERO):
 
 
 def _rule_rhs(rule, x, y):
-    L = AffineLabel.make("L")
     cL = AffineLabel.make("L", "c")
     vac = AffineLabel.make("Vac")
     w1, w2, w3 = Fraction(3, 2) * OMEGA1, Fraction(3, 2) * OMEGA2, Fraction(3, 2) * OMEGA3
@@ -692,7 +691,7 @@ def coset_static_loewy(c):
     I3 = lambda w: CosetLabel("I3", w)
     I3b = lambda w: CosetLabel("I3bar", w)
     w1, w2, w3 = 3 * OMEGA1, 3 * OMEGA2, 3 * OMEGA3
-    h1, h2, h3 = Fraction(3, 2) * OMEGA1, Fraction(3, 2) * OMEGA2, Fraction(3, 2) * OMEGA3
+    h3 = Fraction(3, 2) * OMEGA3
     hr = Fraction(3, 2) * RHO
     if c.family == "P24":
         nodes = {

@@ -134,10 +134,7 @@ def tensor_rule(a, b):
     if cb.irr_dim > ca.irr_dim:
         return tensor_rule(b, a)
     nu = la + mu
-    L, M, P = (lambda w: ModuleLabel("L", w)), (lambda w: ModuleLabel("M", w)), (
-        lambda w: ModuleLabel("P", w)
-    )
-    al = ALPHA
+    L, P = (lambda w: ModuleLabel("L", w)), (lambda w: ModuleLabel("P", w))
 
     # 1 (x) anything
     if cb.irr_dim == 1:
@@ -296,7 +293,7 @@ def _rule_4x4(la, mu, nu, ca, cb):
         return DecompositionExpr([P(nu - al[k])])
     # sum atypical of degree 2
     if ca.i == cb.i and ca.i in (1, 2):
-        i, j = ca.i, 3 - ca.i
+        j = 3 - ca.i
         if cn.tag == "atyp2-root3-even":
             return DecompositionExpr([ModuleLabel("K", nu - al[j])])
         # atyp2-root3-odd with odd indices {i, 3}

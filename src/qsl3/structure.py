@@ -7,9 +7,13 @@ Submodules of a WeightRep are handled as graded subspaces
 
 Every Hom space computed here spins the small side: `hom_space(A, B)`
 spins A, and A is always an irreducible or a reference module, never the
-module under study.  The socle is the sum of the images of maps L -> V, the
-radical is read through the dual module's socle, rad V = (soc V^#)^perp,
-and a decomposition is certified by maps X -> t alone.
+module under study.  `_image_sum` is the one helper for the images of all
+maps X -> V: the socle is the sum of the images of maps L -> V, the
+isotypic components in `loewy` and the summands a reference quotients away
+are such images too.  `socle_chain` is the one series engine: the radical
+series is the annihilators of the dual module's socle series,
+rad^j V = (soc^j V^#)^perp.  A decomposition is certified by maps X -> t
+alone.
 
 The memo dicts (`_IRR_CACHE`, `_CHAIN_CACHE`, `_REF_CACHE`) each keep their
 `CACHE_SIZE` most recently used entries.
@@ -18,7 +22,7 @@ The memo dicts (`_IRR_CACHE`, `_CHAIN_CACHE`, `_REF_CACHE`) each keep their
 import math
 
 from .exact import CycNum, InternalInconsistency
-from .linalg import nullspace
+from .linalg import mat_mul, nullspace
 from .weights import classify
 from .algebra import (
     dual_rep,
@@ -100,86 +104,47 @@ def _irr_cache(order):
     return lambda w: _memo(_IRR_CACHE, (w, order), lambda: irreducible(w, order))
 
 
-def radical_subspace(v, irr=None):
-    """rad V = (soc V^#)^perp, for V^# = dual_rep(V).
-
-    V^# has the weights of V, and its basis at each weight is the dual
-    basis, with every generator acting by a scaled transpose.  So a graded
-    subspace W of V is a submodule exactly when its annihilator W^perp is a
-    submodule of V^#, and the maximal submodules of V are the annihilators
-    of the simple submodules of V^#.  Their intersection rad V is therefore
-    the annihilator of soc V^#, which `socle_subspace` finds by spinning the
-    irreducibles alone.  Each weight's basis is the `nullspace` of the socle
-    vectors there: the reduced echelon basis of the annihilator, the same
-    basis that the kernels of all maps V -> L give.
-    """
-    irr = irr or _irr_cache(v.order)
-    soc = socle_subspace(dual_rep(v), irr)
-    out = {}
-    for lam in v.weights_sorted():
-        basis = nullspace(soc.get(lam, ()), v.dims[lam], v.zero())
-        if basis:
-            out[lam] = basis
-    return out
-
-
 def socle_subspace(v, irr=None):
     """soc V = sum of images of all maps irreducible -> V."""
     irr = irr or _irr_cache(v.order)
+    return echelon_basis(v, _image_sum(map(irr, _factor_weights(v)), v))
+
+
+def _image_sum(sources, v):
+    """{weight: [block vectors]}: the images, unreduced, of the basis vectors
+    under every map from each module of `sources` into v."""
     images = {}
-    for w in _factor_weights(v):
-        L = irr(w)
-        for h in hom_space(L, v):
+    for src in sources:
+        for h in hom_space(src, v):
             for lam, col in image_columns(h):
                 images.setdefault(lam, []).append(col)
-    return echelon_basis(v, images)
-
-
-def _compose_basis(outer, inner, zero):
-    """Vectors of `inner` (coords of the module whose basis is `outer`)
-    re-expressed in the ambient coordinates."""
-    out = {}
-    for lam, vecs in inner.items():
-        amb = outer.get(lam)
-        if amb is None:
-            raise InternalInconsistency("subspace escapes ambient support")
-        res = []
-        for x in vecs:
-            acc = None
-            for c, bv in zip(x, amb):
-                if c:
-                    term = [c * y for y in bv]
-                    acc = term if acc is None else [p + q for p, q in zip(acc, term)]
-            res.append(acc if acc is not None else [zero] * len(amb[0]))
-        out[lam] = res
-    return out
+    return images
 
 
 _CHAIN_CACHE = {}  # id(v) -> (v, chain); the strong ref keeps the id valid
 
 
 def radical_chain(v):
-    """[(subspace of rad^j V in V coords, rep of rad^j V)] for j = 1, 2, ...
+    """[rad^1 V, rad^2 V, ...] down to the last nonzero term, each a graded
+    subspace in V coordinates with a reduced echelon basis at each weight.
 
-    Stops when the radical vanishes.  Entry j-1 describes rad^j V.
+    V^# = dual_rep(V) has the weights of V, and its basis at each weight is
+    the dual basis, with every generator acting by a scaled transpose.  So a
+    graded subspace W of V is a submodule exactly when its annihilator
+    W^perp is a submodule of V^#, and W -> W^perp reverses inclusions, with
+    (V / W)^# = W^perp.  It therefore exchanges radicals and socles:
+    rad^j V = (soc^j V^#)^perp.  The socle series of V^# ends at V^#, whose
+    annihilator is 0, so every term but the last gives a radical term: at
+    each weight the `nullspace` of the socle vectors there.
     """
-    return _memo(_CHAIN_CACHE, id(v), lambda: (v, _radical_chain(v)))[1]
+    def build():
+        zero = v.zero()
+        return [
+            echelon_basis(v, {lam: nullspace(soc.get(lam, ()), d, zero) for lam, d in v.dims.items()})
+            for soc in socle_chain(dual_rep(v))[:-1]
+        ]
 
-
-def _radical_chain(v):
-    irr = _irr_cache(v.order)
-    chain = []
-    cur, amb_basis = v, None  # amb_basis: coords of cur inside v
-    while True:
-        sub = radical_subspace(cur, irr)
-        if not sub:
-            break
-        in_v = sub if amb_basis is None else _compose_basis(amb_basis, sub, v.zero())
-        in_v = echelon_basis(v, in_v)
-        w, basis = sub_rep(v, in_v)
-        chain.append((in_v, w))
-        cur, amb_basis = w, basis
-    return chain
+    return _memo(_CHAIN_CACHE, id(v), lambda: (v, build()))[1]
 
 
 def socle_chain(v):
@@ -218,31 +183,27 @@ def _lift_into(v, acc, project, sub):
     return echelon_basis(v, out)
 
 
+def _layers(v, chain):
+    """Characters of the successive quotients of an ascending chain of graded
+    subspaces, continued to V, bottom first; a zero quotient is dropped."""
+    layers, prev = [], Character({})
+    for dims in [{lam: len(vs) for lam, vs in sub.items()} for sub in chain] + [v.dims]:
+        cur = Character(dims)
+        layer = cur - prev
+        if layer.terms:
+            layers.append(layer)
+        prev = cur
+    return layers
+
+
 def radical_layers(v):
     """Characters of rad_j V = rad^{j-1} V / rad^j V, head first."""
-    chain = radical_chain(v)
-    reps = [v] + [w for _, w in chain]
-    layers = []
-    for k in range(len(reps)):
-        top = character(reps[k])
-        bot = character(reps[k + 1]) if k + 1 < len(reps) else Character({})
-        layers.append(top - bot)
-    return layers
+    return _layers(v, radical_chain(v)[::-1])[::-1]
 
 
 def socle_layers(v):
     """Characters of the socle series layers, socle (bottom) first."""
-    chain = socle_chain(v)
-    layers = []
-    prev = Character({})
-    for sub in chain:
-        cur = Character({lam: len(vs) for lam, vs in sub.items()})
-        layers.append(cur - prev)
-        prev = cur
-    top = character(v) - prev
-    if top.terms:
-        layers.append(top)
-    return layers
+    return _layers(v, socle_chain(v))
 
 
 def layer_factors(layer_char):
@@ -262,21 +223,29 @@ def loewy(v):
     two-layer subquotient M = rad^{j-1}V / rad^{j+1}V: quotient away every
     non-Y isotypic component of rad M, and count Hom(L_X, -); copies of X in
     the head that attach to Y leave the socle, lowering the count below
-    mult_X (+ mult_Y when X = Y).  Arrows touching a node of multiplicity
-    greater than one are tagged "unresolved".
+    mult_X (+ mult_Y when X = Y).  Each isotypic component of rad M is found
+    once per j.  Arrows touching a node of multiplicity greater than one
+    are tagged "unresolved".
     """
     irr = _irr_cache(v.order)
-    chain = radical_chain(v)
-    subspaces = [None] + [s for s, _ in chain]  # rad^0 .. rad^n, in v coords
-    layers_ch = radical_layers(v)
-    layers = [layer_factors(ch) for ch in layers_ch]
+    rad = radical_chain(v)
+    layers = [layer_factors(ch) for ch in radical_layers(v)]
     arrows = set()
     for j in range(1, len(layers)):
         upper, lower = layers[j - 1], layers[j]
-        mj = _two_layer_quotient(v, subspaces, j)
-        bot_sub = _image_in(mj, v, subspaces[j])
+        m, bot = _two_layers(v, rad, j)
+        bot_rep = sub_rep(m, bot)[0]
+        isotypic = {}  # weight of Y -> the Y-isotypic component of rad M, in M coords
+        for y, _ in lower:
+            images = _image_sum([irr(y.weight)], bot_rep)
+            isotypic[y.weight] = {lam: mat_mul(vs, bot[lam]) for lam, vs in images.items()}
         for y, my in lower:
-            n, mults_seen = _strip_other_isotypics(mj, bot_sub, y.weight, irr)
+            kill = {}
+            for w, comp in isotypic.items():
+                if w != y.weight:
+                    for lam, vs in comp.items():
+                        kill.setdefault(lam, []).extend(vs)
+            n = quotient_rep(m, kill)[0] if kill else m
             for x, mx in upper:
                 hom_cnt = len(hom_space(irr(x.weight), n))
                 expected_detached = mx + (my if x.weight == y.weight else 0)
@@ -286,29 +255,29 @@ def loewy(v):
     return LoewyDiagram([_mklayer(l) for l in layers], arrows)
 
 
-def _two_layer_quotient(v, subspaces, j):
-    """rad^{j-1} V / rad^{j+1} V as a WeightRep (with its v-coordinate data).
+def _two_layers(v, rad, j):
+    """M = rad^{j-1} V / rad^{j+1} V as a WeightRep, and its bottom
+    rad^j V / rad^{j+1} V as a graded subspace of M with an echelon basis.
+    `rad` is radical_chain(v): rad[k] is rad^{k+1} V."""
+    amb, basis = (v, None) if j == 1 else sub_rep(v, rad[j - 2])
 
-    Returns (rep, project, ambient) where ambient is the sub_rep of
-    rad^{j-1}V and project maps its coords onto the quotient.
-    """
-    if subspaces[j - 1] is None:
-        amb, amb_basis = v, None
+    def inside(sub):
+        return sub if basis is None else _express_subspace(basis, sub, v.zero())
+
+    if j < len(rad):
+        m, project = quotient_rep(amb, inside(rad[j]))
     else:
-        amb, amb_basis = sub_rep(v, subspaces[j - 1])
-    deep = subspaces[j + 1] if j + 1 < len(subspaces) else None
-    if deep is None:
-        return amb, (lambda lam, x: list(x)), (amb, amb_basis)
-    # express rad^{j+1} in amb coords
-    if amb_basis is None:
-        deep_in = deep
-    else:
-        deep_in = _express_subspace(amb, amb_basis, deep, v.zero())
-    q, project = quotient_rep(amb, deep_in)
-    return q, project, (amb, amb_basis)
+        m, project = amb, lambda lam, x: list(x)
+    bot = {}
+    for lam, vecs in inside(rad[j - 1]).items():
+        for x in vecs:
+            y = project(lam, x)
+            if any(y):
+                bot.setdefault(lam, []).append(y)
+    return m, echelon_basis(m, bot)
 
 
-def _express_subspace(sub_rep_obj, basis, subspace, zero):
+def _express_subspace(basis, subspace, zero):
     """Rewrite v-coordinate vectors as coordinates in the sub_rep basis."""
     out = {}
     for lam, vecs in subspace.items():
@@ -322,48 +291,6 @@ def _express_subspace(sub_rep_obj, basis, subspace, zero):
             res.append(c)
         out[lam] = res
     return out
-
-
-def _image_in(mj_tuple, v, subspace):
-    """Image of a v-coordinate subspace inside the two-layer quotient."""
-    mj, project, (amb, amb_basis) = mj_tuple
-    if subspace is None:
-        return {}
-    if amb_basis is None:
-        inside = subspace
-    else:
-        inside = _express_subspace(amb, amb_basis, subspace, v.zero())
-    out = {}
-    for lam, vecs in inside.items():
-        if lam not in mj.dims:
-            continue
-        for x in vecs:
-            y = project(lam, list(x))
-            if any(y):
-                out.setdefault(lam, []).append(y)
-    return echelon_basis(mj, out)
-
-
-def _strip_other_isotypics(mj_tuple, bot_sub, keep_weight, irr):
-    """Quotient the two-layer module by non-keep isotypics of its bottom."""
-    mj = mj_tuple[0]
-    if not bot_sub:
-        return mj, None
-    bot, bot_basis = sub_rep(mj, bot_sub)
-    kill = {}
-    for w in _factor_weights(bot):
-        if w == keep_weight:
-            continue
-        L = irr(w)
-        for h in hom_space(L, bot):
-            for lam, col in image_columns(h):
-                kill.setdefault(lam, []).append(col)
-    if not kill:
-        return mj, None
-    # map kill (bot coords) back to mj coords
-    kill_in_mj = _compose_basis(bot_basis, echelon_basis(bot, kill), mj.zero())
-    q, _ = quotient_rep(mj, echelon_basis(mj, kill_in_mj))
-    return q, None
 
 
 # -- reference modules ------------------------------------------------
@@ -391,14 +318,11 @@ def _build_reference(label, order):
         o = default_order(lam0, mu0, lam)
         o = math.lcm(o, order)
         t = tensor_action(irreducible(lam0, o), irreducible(mu0, o))
-        kill = {}
-        for other, mult in expr:
-            if other.family == label.family and other.weight == lam:
-                continue
-            ref = irreducible(other.weight, o)
-            for h in hom_space(ref, t):
-                for lw, col in image_columns(h):
-                    kill.setdefault(lw, []).append(col)
+        kill = _image_sum(
+            (irreducible(other.weight, o) for other, _ in expr
+             if not (other.family == label.family and other.weight == lam)),
+            t,
+        )
         out = quotient_rep(t, kill)[0] if kill else t
         if character(out).terms != static_char(label).terms:
             raise InternalInconsistency(f"reference for {label!r} has wrong character")

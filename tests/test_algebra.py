@@ -15,7 +15,7 @@ from qsl3.algebra import (
     tensor_action,
     verify_relations,
 )
-from qsl3.exact import i_power
+from qsl3.exact import InternalInconsistency, i_power
 from qsl3.repmod import character, hom_space, irreducible, verma
 from qsl3.structure import socle_subspace
 from qsl3.weights import ALPHA, killing
@@ -177,3 +177,15 @@ def test_sub_and_quotient_of_reducible_verma():
     assert (character(sub) + character(quo)).terms == character(v).terms
     # the quotient is the irreducible head
     assert character(quo).terms == character(irreducible(lam)).terms
+
+
+def test_a_basis_that_is_not_a_submodule_is_an_internal_fault():
+    # the highest-weight vector of a reducible Verma generates all of it,
+    # so alone it is not closed; the CLI reads a ValueError as bad input
+    lam = W(0, Fraction(-1, 2))
+    v = verma(lam)
+    top = v.weights_sorted()[-1]
+    assert v.dims[top] == 1 and v.dim == 8
+    with pytest.raises(InternalInconsistency) as err:
+        sub_rep(v, {top: [[v.one()]]})
+    assert not isinstance(err.value, ValueError)

@@ -91,3 +91,48 @@ def test_every_top_level_definition_in_src_is_read():
     src = {path for path in readers if path.startswith("src")}
     assert len(src) > 8
     assert unread_definitions(src, readers) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def unread_locals(source):
+    """(function, line, name) of each local name a function assigns and
+    never reads.  Reads in nested functions and comprehensions count;
+    parameters are not locals here, and names starting with "_" are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+        read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+        seen = set()
+        for node in names:
+            if (isinstance(node.ctx, ast.Store) and not node.id.startswith("_")
+                    and node.id not in read and node.id not in seen):
+                seen.add(node.id)
+                out.append((getattr(fn, "name", "<lambda>"), node.lineno, node.id))
+    return sorted(out, key=lambda t: t[1])
+
+
+def test_unread_locals_are_found():
+    source = (
+        "def f(unused_param):\n"
+        "    a, b = 1, 2\n"
+        "    for i, x in enumerate([a]):\n"
+        "        pass\n"
+        "    _skip = 3\n"
+        "    def g():\n"
+        "        return x\n"
+        "    return g\n"
+    )
+    assert unread_locals(source) == [("f", 2, "b"), ("f", 3, "i")]
+
+
+def test_every_local_in_src_is_read():
+    unread = [
+        f"{path.relative_to(ROOT)}:{line}: {fn}: {name}"
+        for path in sorted((ROOT / "src" / "qsl3").glob("*.py"))
+        for fn, line, name in unread_locals(path.read_text())
+    ]
+    assert unread == []

@@ -1,6 +1,6 @@
-"""The radical by duality and the certificate from maps into t, each against
-the direct computation it replaces, kept here as a test-local reference;
-and the bound on the structure memo dicts."""
+"""The radical and Loewy engines and the certificate from maps into t, each
+against the direct computation it replaces, kept here as a test-local
+reference; and the bound on the structure memo dicts."""
 
 import importlib.util
 import math
@@ -11,16 +11,22 @@ from pathlib import Path
 import pytest
 
 from qsl3 import structure
-from qsl3.algebra import GENS, dual_rep, sub_rep, tensor_action
+from qsl3.algebra import GENS, dual_rep, echelon_basis, express_in_basis, quotient_rep, sub_rep, tensor_action
 from qsl3.exact import CycNum
 from qsl3.linalg import Echelon, nullspace, rank as mat_rank
-from qsl3.repmod import hom_space, image_columns, irreducible, verma
+from qsl3.repmod import Character, character, hom_space, image_columns, irreducible, verma
 from qsl3.rules import DecompositionExpr, ModuleLabel, static_loewy, tensor_rule
 from qsl3.structure import (
     VerificationFailure,
     build_reference,
     composition_factors,
-    radical_subspace,
+    layer_factors,
+    loewy,
+    radical_chain,
+    radical_layers,
+    socle_chain,
+    socle_layers,
+    socle_subspace,
     verify_decomposition,
 )
 from qsl3.weights import Weight
@@ -102,9 +108,153 @@ def radical_cases():
 def test_radical_by_duality_equals_the_kernels_of_maps_to_irreducibles():
     orders = set()
     for v in radical_cases():
-        assert radical_subspace(v) == direct_radical(v)
+        chain = radical_chain(v)
+        assert (chain[0] if chain else {}) == echelon_basis(v, direct_radical(v))
         orders.add(v.order)
     assert {4, 8, 24} <= orders
+
+
+# -- the radical series and the arrows, as before one chain engine -------
+
+
+def iterated_radical(v):
+    """rad V as the annihilator of soc V^#, one module at a time."""
+    soc = socle_subspace(dual_rep(v))
+    out = {}
+    for lam in v.weights_sorted():
+        basis = nullspace(soc.get(lam, ()), v.dims[lam], v.zero())
+        if basis:
+            out[lam] = basis
+    return out
+
+
+def compose_basis(outer, inner, zero):
+    """Vectors of `inner`, in the coordinates of the module whose basis is
+    `outer`, re-expressed in the ambient coordinates."""
+    out = {}
+    for lam, vecs in inner.items():
+        res = []
+        for x in vecs:
+            acc = [zero] * len(outer[lam][0])
+            for c, bv in zip(x, outer[lam]):
+                acc = [p + c * q for p, q in zip(acc, bv)]
+            res.append(acc)
+        out[lam] = res
+    return out
+
+
+def reference_radical_chain(v):
+    """[rad^1 V, rad^2 V, ...]: the radical of the sub_rep of each term,
+    composed back to V coordinates."""
+    chain = []
+    cur, basis = v, None
+    while True:
+        sub = iterated_radical(cur)
+        if not sub:
+            return chain
+        in_v = echelon_basis(v, sub if basis is None else compose_basis(basis, sub, v.zero()))
+        chain.append(in_v)
+        cur, basis = sub_rep(v, in_v)
+
+
+def reference_layers(v, chain):
+    """Radical layers, head first, from the characters of the terms."""
+    chars = [character(v)] + [character(sub_rep(v, sub)[0]) for sub in chain] + [Character({})]
+    return [top - bot for top, bot in zip(chars, chars[1:])]
+
+
+def reference_socle_layers(v):
+    layers, prev = [], Character({})
+    for sub in socle_chain(v):
+        cur = Character({lam: len(vs) for lam, vs in sub.items()})
+        layers.append(cur - prev)
+        prev = cur
+    return layers
+
+
+def in_coords(basis, sub, zero):
+    return {lam: [express_in_basis(basis[lam], x, zero) for x in vecs] for lam, vecs in sub.items()}
+
+
+def reference_arrows(v, chain):
+    """The arrows of the Loewy diagram, each lower factor Y on its own: the
+    two-layer module M, its bottom as a sub_rep, and M modulo every isotypic
+    component of the bottom but Y's."""
+    layers = [layer_factors(ch) for ch in reference_layers(v, chain)]
+    subs = [None] + chain + [None]
+    arrows = set()
+    for j in range(1, len(layers)):
+        amb, basis = (v, None) if j == 1 else sub_rep(v, subs[j - 1])
+
+        def inside(sub):
+            return sub if basis is None else in_coords(basis, sub, v.zero())
+
+        if subs[j + 1] is None:
+            m, project = amb, lambda lam, x: list(x)
+        else:
+            m, project = quotient_rep(amb, inside(subs[j + 1]))
+        bot = {}
+        for lam, vecs in inside(subs[j]).items():
+            for x in vecs:
+                q = project(lam, x)
+                if any(q):
+                    bot.setdefault(lam, []).append(q)
+        bot = echelon_basis(m, bot)
+        for y, my in layers[j]:
+            bot_rep, bot_basis = sub_rep(m, bot)
+            kill = {}
+            for w, _ in composition_factors(bot_rep):
+                if w != y.weight:
+                    for h in hom_space(irreducible(w, v.order), bot_rep):
+                        for lam, col in image_columns(h):
+                            kill.setdefault(lam, []).append(col)
+            n = m
+            if kill:
+                kill = compose_basis(bot_basis, echelon_basis(bot_rep, kill), v.zero())
+                n = quotient_rep(m, echelon_basis(m, kill))[0]
+            for x, mx in layers[j - 1]:
+                if len(hom_space(irreducible(x.weight, v.order), n)) < mx + (my if x.weight == y.weight else 0):
+                    arrows.add((j, repr(x), repr(y), "unresolved" if (mx > 1 or my > 1) else "other"))
+    return arrows
+
+
+def loewy_slot_modules(monkeypatch, seed):
+    """The reference modules of the 17 loewy-structure slots of one seed."""
+    workloads = load_workloads(monkeypatch)
+    (shift,) = workloads.lattice_shift(random.Random(f"loewy-structure|{seed}"), 1)
+    return [
+        build_reference(ModuleLabel(family, workloads.shifted(base, shift), variant=variant))
+        for _, family, base, variant in workloads.LOEWY_SLOTS
+    ]
+
+
+def assert_one_engine_matches_the_reference(v):
+    chain = reference_radical_chain(v)
+    assert radical_chain(v) == chain
+    layers = [layer.terms for layer in reference_layers(v, chain)]
+    assert [layer.terms for layer in radical_layers(v)] == layers
+    assert [layer.terms for layer in socle_layers(v)] == [layer.terms for layer in reference_socle_layers(v)]
+    diagram = loewy(v)
+    assert diagram.layer_lists() == [
+        sorted((repr(lbl), m) for lbl, m in layer_factors(Character(terms))) for terms in layers
+    ]
+    assert diagram.arrows == reference_arrows(v, chain)
+
+
+def test_one_chain_engine_matches_the_iterated_radical_on_the_radical_cases():
+    orders = set()
+    for v in radical_cases():
+        assert_one_engine_matches_the_reference(v)
+        orders.add(v.order)
+    assert {4, 8, 24} <= orders
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_chain_engine_matches_the_iterated_radical_on_the_loewy_slots(monkeypatch, seed):
+    modules = loewy_slot_modules(monkeypatch, seed)
+    assert len(modules) == 17
+    for v in modules:
+        assert_one_engine_matches_the_reference(v)
 
 
 # -- the certificate ----------------------------------------------------
