@@ -6,7 +6,9 @@ Loewy diagrams (text, JSON or DOT), the coset/affine dictionary, fusion,
 the closed-form fusion-rule checker, the octuplet layer, q-series
 characters and a self-test runner.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (input that
+does not parse, or a case the stated rules do not cover), 3 internal error
+(any other exception: a fault of the program, never of the input).
 """
 
 import argparse
@@ -14,11 +16,12 @@ import json
 import os
 import random
 import sys
+import traceback
 from fractions import Fraction
 
 from . import kl, qseries
 from .exact import fmt_rat
-from .repmod import character, irreducible, verma
+from .repmod import character, default_order, irreducible, verma
 from .rules import (
     ModuleLabel,
     UnsupportedCase,
@@ -51,9 +54,27 @@ _TAG_DISPLAY = {
 }
 
 
-def _field_order():
+class UsageError(Exception):
+    """Input on the command line that does not parse."""
+
+
+def _parse(parser, text):
+    """parser(text), a parse failure raised as a UsageError."""
+    try:
+        return parser(text)
+    except (ValueError, KeyError, kl.InvalidCosetWeight) as e:
+        raise UsageError(str(e)) from e
+
+
+def _field_order(*weights):
+    """The field order QSL3_FIELD_ORDER forces, or None; it must hold the weights."""
     env = os.environ.get("QSL3_FIELD_ORDER")
-    return int(env) if env else None
+    if not env:
+        return None
+    order, need = _parse(int, env), default_order(*weights)
+    if order % need:
+        raise UsageError(f"QSL3_FIELD_ORDER={order}: these weights need a multiple of {need}")
+    return order
 
 
 def _emit(args, text_fn, json_obj):
@@ -72,7 +93,7 @@ def _char_json(ch):
 
 
 def _cmd_classify(args):
-    w = parse_weight(args.weight)
+    w = _parse(parse_weight, args.weight)
     cls = classify(w)
     idx = tuple(fmt_rat(x) for x in indices(w))
     name = _TAG_DISPLAY[cls.tag] + (f"({cls.i})" if cls.i else "")
@@ -85,7 +106,7 @@ def _cmd_classify(args):
 
 
 def _cmd_char(args):
-    lbl = parse_label(args.label)
+    lbl = _parse(parse_label, args.label)
     ch = static_char(lbl)
     def text():
         terms = sorted(ch.terms.items(), key=lambda t: t[0].sort_key())
@@ -116,20 +137,25 @@ def _rep_summary(rep, args):
 
 
 def _cmd_verma(args):
-    return _rep_summary(verma(parse_weight(args.weight), _field_order()), args)
+    w = _parse(parse_weight, args.weight)
+    return _rep_summary(verma(w, _field_order(w)), args)
 
 
 def _cmd_irrep(args):
-    return _rep_summary(irreducible(parse_weight(args.weight), _field_order()), args)
+    w = _parse(parse_weight, args.weight)
+    return _rep_summary(irreducible(w, _field_order(w)), args)
 
 
 def _cmd_tensor(args):
-    a, b = parse_label(args.left), parse_label(args.right)
+    a, b = _parse(parse_label, args.left), _parse(parse_label, args.right)
+    if a.family != "L" or b.family != "L":
+        raise UsageError("tensor takes two irreducible labels L(d)[c1,c2]")
     expr = tensor_rule(a, b)
     verified = None
     if args.verify:
         t = tensor_action(
-            irreducible(a.weight, _field_order()), irreducible(b.weight, _field_order())
+            irreducible(a.weight, _field_order(a.weight)),
+            irreducible(b.weight, _field_order(b.weight)),
         )
         try:
             verify_decomposition(t, expr)
@@ -159,8 +185,8 @@ def _any_loewy(label_str, variant=None, computed=False):
         (kl.parse_oct, kl.oct_static_loewy),
     ):
         try:
-            lbl = parser(label_str)
-        except Exception as e:
+            lbl = _parse(parser, label_str)
+        except UsageError as e:
             errors.append(str(e))
             continue
         if diagram is None:
@@ -169,10 +195,10 @@ def _any_loewy(label_str, variant=None, computed=False):
             if computed:
                 from .structure import build_reference
 
-                return loewy(build_reference(lbl, _field_order()))
+                return loewy(build_reference(lbl, _field_order(lbl.weight)))
             return static_loewy(lbl)
         return diagram(lbl)
-    raise ValueError("; ".join(errors))
+    raise UsageError("; ".join(errors))
 
 
 def _cmd_loewy(args):
@@ -193,15 +219,16 @@ def _cmd_loewy(args):
 
 def _cmd_kl(args):
     if args.direction == "to-quantum":
-        out = kl.to_quantum(kl.parse_coset(args.label))
+        out = kl.to_quantum(_parse(kl.parse_coset, args.label))
     else:
-        out = kl.from_quantum(parse_label(args.label))
+        # a family with no coset image is an input error too
+        out = _parse(lambda text: kl.from_quantum(parse_label(text)), args.label)
     return _emit(args, lambda: repr(out), {"label": repr(out)})
 
 
 def _cmd_induce(args):
-    c = kl.parse_coset(args.coset)
-    fock = parse_weight(args.fock)
+    c = _parse(kl.parse_coset, args.coset)
+    fock = _parse(parse_weight, args.fock)
     out = kl.induce(c, fock)
     return _emit(
         args,
@@ -211,7 +238,7 @@ def _cmd_induce(args):
 
 
 def _cmd_fuse(args):
-    a, b = kl.parse_affine(args.left), kl.parse_affine(args.right)
+    a, b = _parse(kl.parse_affine, args.left), _parse(kl.parse_affine, args.right)
     if args.level == "full":
         terms = kl.affine_fuse(a, b)
     else:
@@ -224,10 +251,13 @@ def _cmd_fuse(args):
 
 
 def _rule_samples(rule, rng):
-    """Random (generic) inputs for one of the nine closed-form rules."""
+    """Random inputs for one of the nine closed-form rules.
+
+    Each line parameter is off the degenerate (integer or half-integer)
+    points, but a sum of two, as in rule 5, may land on one.
+    """
     def frac():
-        # strictly between 0 and 1 with odd denominator: never lands on a
-        # degenerate (integer or half-integer) line parameter
+        # strictly between 0 and 1 with odd denominator
         den = rng.choice([5, 7, 11])
         return Fraction(rng.randrange(1, den), den)
 
@@ -296,7 +326,7 @@ def _cmd_octuplet(args):
             for r in rows
         ])
     if args.octcmd == "fuse":
-        a, b = kl.parse_oct(args.left), kl.parse_oct(args.right)
+        a, b = _parse(kl.parse_oct, args.left), _parse(kl.parse_oct, args.right)
         terms = kl.oct_fuse(a, b)
         return _emit(
             args,
@@ -304,7 +334,7 @@ def _cmd_octuplet(args):
             {"terms": [[repr(l), m] for l, m in terms]},
         )
     # loewy
-    diag = kl.oct_static_loewy(kl.parse_oct(args.label))
+    diag = kl.oct_static_loewy(_parse(kl.parse_oct, args.label))
     if args.format == "dot":
         print(diag.to_dot(name=args.label))
     else:
@@ -313,7 +343,9 @@ def _cmd_octuplet(args):
 
 
 def _cmd_qchar(args):
-    w = parse_weight(args.weight)
+    w = _parse(parse_weight, args.weight)
+    if args.order < 1:
+        raise UsageError("--order must be at least 1")
     if args.family == "8":
         s = qseries.coset8_char(w, args.order)
     else:
@@ -504,13 +536,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (VerificationFailure,) as e:
+    except VerificationFailure as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, UnsupportedCase, kl.InvalidCosetWeight, kl.NotLocal,
-            kl.TwistedModule) as e:
+    except (UsageError, UnsupportedCase, kl.NotLocal, kl.TwistedModule) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

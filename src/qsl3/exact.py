@@ -27,7 +27,10 @@ class InternalInconsistency(Exception):
 
 def parse_rat(s):
     """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {s!r}: zero denominator") from None
 
 
 def fmt_rat(x):

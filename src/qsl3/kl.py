@@ -17,15 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .exact import fmt_rat, parse_rat
+from .exact import fmt_rat
+from .repmod import atyp1_character
 from .rules import (
     LoewyDiagram,
     ModuleLabel,
     UnsupportedCase,
     _mklayer,
+    shape_diagram,
     static_loewy,
     tensor_rule,
 )
+from .structure import composition_factors
 from .weights import (
     ALPHA,
     ALPHA1,
@@ -297,8 +300,7 @@ def parse_affine(s):
     while parts[0].startswith("sf(") or parts[0] in ("c", "w2", "w1w2"):
         head = parts.pop(0)
         if head.startswith("sf("):
-            inner = head[3:-1].split(",")
-            flow = Weight(parse_rat(inner[0]), parse_rat(inner[1]))
+            flow = parse_weight("[" + head[3:-1] + "]")
         else:
             decor = head
         if not parts:
@@ -401,6 +403,8 @@ def affine_fuse(a, b):
     expr, fock = _fuse_quantum(a, b)
     out = {}
     for lbl, m in expr:
+        if lbl.family not in ("L", "M", "P"):
+            raise UnsupportedCase(f"{a!r} x {b!r} contains {lbl!r}, which has no affine name")
         aff = induce(from_quantum(lbl), fock)
         out[aff] = out.get(aff, 0) + m
     return sorted(out.items(), key=lambda t: t[0].sort_key())
@@ -450,11 +454,22 @@ def _acc(target, factors, mult=1):
 # entry builds the right-hand side from the (flow-stripped) inputs.
 
 
-def _E_line(w, flow=ZERO):
-    lines = atypical_lines(w)
-    if len(lines) != 1:
-        raise InvalidCosetWeight(f"{w!r} is not on exactly one atypical line")
-    return AffineLabel.make("E", _LINE_DECOR[lines[0]], w, flow)
+def _E_factors(line, w, flow):
+    """Composition factors of the standard module along `line` at w.
+
+    Its quantum image has the atyp1 character of the line's index at
+    phi(w) + rho (lines 1 and 2) or phi(w) (line 3); each irreducible
+    factor peeled off it is induced against the module's Fock weight.  On
+    one line alone this is the irreducible E itself; where w lies on a
+    second line too, E is reducible and this gives its factors.
+    """
+    q = phi(w) + RHO if line in (1, 2) else phi(w)
+    fock = w - Fraction(3, 2) * flow
+    out = {}
+    for u, m in composition_factors(atyp1_character(q, _LINE_INDEX[line])):
+        aff = induce(from_quantum(ModuleLabel("L", u)), fock)
+        out[aff] = out.get(aff, 0) + m
+    return out
 
 
 def _R(w, flow=ZERO):
@@ -462,6 +477,11 @@ def _R(w, flow=ZERO):
 
 
 def _rule_rhs(rule, x, y):
+    """The right-hand side of a listed rule as (term, mult) pairs.
+
+    A term is an affine label, or a standard module (line, weight, flow)
+    named by its line, since its weight may lie on a second line.
+    """
     cL = AffineLabel.make("L", "c")
     vac = AffineLabel.make("Vac")
     w1, w2, w3 = Fraction(3, 2) * OMEGA1, Fraction(3, 2) * OMEGA2, Fraction(3, 2) * OMEGA3
@@ -477,7 +497,7 @@ def _rule_rhs(rule, x, y):
     if rule == 3:
         mu = y.param
         return [
-            (_E_line(mu + Fraction(1, 2) * ALPHA1, OMEGA1), 1),
+            ((1, mu + Fraction(1, 2) * ALPHA1, OMEGA1), 1),
             (_R(mu + Fraction(1, 2) * ALPHA2, OMEGA2), 1),
         ]
     if rule == 4:
@@ -490,9 +510,9 @@ def _rule_rhs(rule, x, y):
     s = x.param + y.param
     if rule == 5:
         return [
-            (_E_line(s + w1, OMEGA1), 1),
+            ((1, s + w1, OMEGA1), 1),
             (_R(s + w2, OMEGA2), 1),
-            (_E_line(s + w3, OMEGA3), 1),
+            ((1, s + w3, OMEGA3), 1),
         ]
     if rule == 6:
         return [(_R(s), 1), (_R(s + w1, OMEGA1), 1)]
@@ -557,8 +577,12 @@ def grothendieck_check(a, b):
         for fb, mb in affine_factors(b).items():
             _acc(lhs, affine_fuse_factors(fa, fb), ma * mb)
     rhs = {}
-    for lbl, m in _rule_rhs(rule, x, y):
-        _acc(rhs, affine_factors(twist(lbl, total_flow)), m)
+    for term, m in _rule_rhs(rule, x, y):
+        if isinstance(term, AffineLabel):
+            _acc(rhs, affine_factors(twist(term, total_flow)), m)
+        else:
+            line, w, flow = term
+            _acc(rhs, _E_factors(line, w, flow + total_flow), m)
     only_lhs = {repr(k): v - rhs.get(k, 0) for k, v in lhs.items() if v != rhs.get(k, 0)}
     only_rhs = {repr(k): v - lhs.get(k, 0) for k, v in rhs.items() if v != lhs.get(k, 0)}
     return {
@@ -598,74 +622,6 @@ def affine_loewy(a):
     return _map_diagram(coset_loewy(c), lambda l: induce(l, fock))
 
 
-# shapes of the three parametric projective-cover diagrams; node names
-# follow layer-position convention (1 top, 2x, 3x, 4x, 5 bottom)
-
-_SHAPE_SQUARE = {
-    "standard": [(1, "t", "l"), (2, "r", "b")],
-    "costandard": [(1, "t", "r"), (2, "l", "b")],
-    "other": [],
-}
-
-_SHAPE_24 = {
-    "standard": [
-        (1, "1", "22"), (1, "1", "23"), (2, "22", "34"), (2, "23", "34"),
-        (2, "21", "32"), (2, "21", "33"), (3, "32", "43"), (3, "33", "43"),
-        (3, "31", "41"), (3, "31", "42"), (4, "41", "5"), (4, "42", "5"),
-    ],
-    "costandard": [
-        (1, "1", "21"), (2, "21", "31"), (2, "22", "31"), (2, "23", "32"),
-        (2, "23", "33"), (3, "32", "41"), (3, "33", "41"), (3, "34", "42"),
-        (3, "34", "43"), (4, "43", "5"),
-    ],
-    "other": [(2, "22", "33"), (3, "33", "42")],
-}
-
-_SHAPE_48 = {
-    "standard": [
-        (1, "1", "25"), (1, "1", "26"), (2, "25", "37"), (2, "26", "37"),
-        (2, "21", "32"), (2, "21", "34"), (3, "32", "43"), (3, "34", "43"),
-        (2, "22", "33"), (2, "22", "34"), (3, "33", "44"), (3, "34", "44"),
-        (2, "23", "34"), (2, "23", "35"), (3, "34", "45"), (3, "35", "45"),
-        (2, "24", "34"), (2, "24", "36"), (3, "34", "46"), (3, "36", "46"),
-        (3, "31", "41"), (3, "31", "42"), (4, "41", "5"), (4, "42", "5"),
-    ],
-    "costandard": [
-        (1, "1", "21"), (1, "1", "22"), (2, "21", "31"), (2, "22", "31"),
-        (2, "23", "32"), (3, "32", "41"), (3, "34", "41"),
-        (2, "24", "33"), (3, "33", "42"), (3, "34", "42"),
-        (2, "25", "34"), (2, "25", "35"), (3, "35", "43"),
-        (2, "26", "34"), (2, "26", "36"), (3, "36", "44"),
-        (3, "37", "45"), (3, "37", "46"), (4, "45", "5"), (4, "46", "5"),
-    ],
-    "other": [(1, "1", "23"), (1, "1", "24"), (4, "43", "5"), (4, "44", "5")],
-}
-
-_TAG_NAMES = {"standard": "standard", "costandard": "costandard", "other": "other"}
-
-
-def _diagram_from_shape(shape, nodes, nlayers):
-    """Build a LoewyDiagram from a node map {name: (label, mult)} and a shape."""
-    bylayer = {j: [] for j in range(1, nlayers + 1)}
-    for name, lm in nodes.items():
-        lbl, m = lm if isinstance(lm, tuple) else (lm, 1)
-        j = 1 if name == "t" else nlayers if name == "b" else None
-        if j is None:
-            j = {"1": 1, "5": nlayers, "l": 2, "r": 2}.get(name) or int(name[0])
-        bylayer[j].append((lbl, m))
-    layers = [_mklayer(bylayer[j]) for j in range(1, nlayers + 1)]
-
-    def _lbl(name):
-        lm = nodes[name]
-        return repr(lm[0] if isinstance(lm, tuple) else lm)
-
-    arrows = set()
-    for tag, lst in shape.items():
-        for j, src, dst in lst:
-            arrows.add((j, _lbl(src), _lbl(dst), _TAG_NAMES[tag]))
-    return LoewyDiagram(layers, arrows)
-
-
 def coset_static_loewy(c):
     """The stated parametric Loewy diagram of a coset label.
 
@@ -675,18 +631,17 @@ def coset_static_loewy(c):
     entry is the single negative one); the translated version is used.
     """
     lam = c.weight
-    if c.family in ("I1", "I3", "I3bar", "I4"):
-        return LoewyDiagram([_mklayer([c])], set())
-    if c.family == "I8":
-        if classify(phi(lam) + RHO).tag != "typical":
-            raise ValueError(f"{c!r} is reducible; use coset_loewy for its diagram")
-        return LoewyDiagram([_mklayer([c])], set())
+    if c.family == "I8" and classify(phi(lam) + RHO).tag != "typical":
+        raise UnsupportedCase(f"{c!r} is reducible; use coset_loewy for its diagram")
+    if c.family in ("I1", "I3", "I3bar", "I4", "I8"):
+        return shape_diagram("point", {"1": c})
     if c.family == "P16":
         line = atypical_lines(lam)[0]
         shift = phi_inv(ALPHA[_LINE_INDEX[line]])
         I4 = lambda w: CosetLabel("I4", w)
-        nodes = {"t": I4(lam), "l": I4(lam - shift), "r": I4(lam + shift), "b": I4(lam)}
-        return _diagram_from_shape(_SHAPE_SQUARE, nodes, 3)
+        return shape_diagram("square", {
+            "1": I4(lam), "21": I4(lam - shift), "22": I4(lam + shift), "3": I4(lam),
+        })
     I1 = lambda w: CosetLabel("I1", w)
     I3 = lambda w: CosetLabel("I3", w)
     I3b = lambda w: CosetLabel("I3bar", w)
@@ -701,7 +656,7 @@ def coset_static_loewy(c):
             "41": I1(lam + hr), "42": I1(lam - h3), "43": I1(lam + h3),
             "5": I3(lam),
         }
-        return _diagram_from_shape(_SHAPE_24, nodes, 5)
+        return shape_diagram("cover24", nodes)
     if c.family == "P24bar":
         nodes = {
             "1": I3b(lam),
@@ -710,7 +665,7 @@ def coset_static_loewy(c):
             "41": I1(lam - h3), "42": I1(lam + h3), "43": I1(lam - hr),
             "5": I3b(lam),
         }
-        return _diagram_from_shape(_SHAPE_24, nodes, 5)
+        return shape_diagram("cover24", nodes)
     # P48
     nodes = {
         "1": I1(lam),
@@ -722,7 +677,7 @@ def coset_static_loewy(c):
         "44": I3b(lam - h3), "45": I3b(lam + h3), "46": I3(lam - hr),
         "5": I1(lam),
     }
-    return _diagram_from_shape(_SHAPE_48, nodes, 5)
+    return shape_diagram("cover48", nodes)
 
 
 def affine_static_loewy(a):
@@ -734,13 +689,12 @@ def affine_static_loewy(a):
     if a.base == "PE" and a.decor == "" and a.flow == ZERO:
         lam = a.param
         E = lambda w, f=ZERO: AffineLabel.make("E", "", w, f)
-        nodes = {
-            "t": E(lam),
-            "l": E(lam - Fraction(1, 2) * ALPHA1, -OMEGA2),
-            "r": E(lam + Fraction(1, 2) * ALPHA1, OMEGA2),
-            "b": E(lam),
-        }
-        return _diagram_from_shape(_SHAPE_SQUARE, nodes, 3)
+        return shape_diagram("square", {
+            "1": E(lam),
+            "21": E(lam - Fraction(1, 2) * ALPHA1, -OMEGA2),
+            "22": E(lam + Fraction(1, 2) * ALPHA1, OMEGA2),
+            "3": E(lam),
+        })
     if a.base == "PL" and a.decor == "" and a.flow == ZERO:
         nodes = {
             "1": L,
@@ -749,7 +703,7 @@ def affine_static_loewy(a):
             "41": tw(vac, RHO), "42": tw(vac, -OMEGA3), "43": tw(vac, OMEGA3),
             "5": L,
         }
-        return _diagram_from_shape(_SHAPE_24, nodes, 5)
+        return shape_diagram("cover24", nodes)
     if a.base == "PVac" and a.flow == ZERO:
         nodes = {
             "1": vac,
@@ -762,8 +716,8 @@ def affine_static_loewy(a):
             "44": tw(cL, -OMEGA3), "45": tw(cL, OMEGA3), "46": tw(L, -RHO),
             "5": vac,
         }
-        return _diagram_from_shape(_SHAPE_48, nodes, 5)
-    raise ValueError(f"no stated diagram for {a!r}; use affine_loewy for transport")
+        return shape_diagram("cover48", nodes)
+    raise UnsupportedCase(f"no stated diagram for {a!r}; use affine_loewy for transport")
 
 
 # -- the octuplet sub-layer -------------------------------------------
@@ -946,17 +900,13 @@ def oct_gr_fuse(a, b):
 
 def oct_static_loewy(l):
     """The stated Loewy diagrams of the reducible octuplet labels."""
+    if l.family in _OCT_IRREDUCIBLE:
+        raise UnsupportedCase(f"no stated diagram for the irreducible {l!r}")
     k = l.class_index - _OCT_COMPOSITE_BASE[l.family]
     W1 = _oct_at("W1", 0 + k)
     if l.family in ("Q9oct", "Q9barOct"):
         top = _oct_at("W3" if l.family == "Q9oct" else "W3bar", 2 + k)
-        layers = [_mklayer([top]), _mklayer([(W1, 3)]), _mklayer([top])]
-        arrows = set()
-        for tag in ("standard", "costandard"):
-            arrows.add((1, repr(top), repr(W1), tag))
-            arrows.add((2, repr(W1), repr(top), tag))
-        arrows.add((2, repr(W1), repr(top), "other"))
-        return LoewyDiagram(layers, arrows)
+        return shape_diagram("loop9", {"1": top, "2": (W1, 3), "3": top})
     if l.family in ("P24oct", "P24barOct"):
         t = _oct_at("W3" if l.family == "P24oct" else "W3bar", 2 + k)
         o = _oct_at("W3bar" if l.family == "P24oct" else "W3", 2 + k)
@@ -965,19 +915,18 @@ def oct_static_loewy(l):
             "31": o, "32": o, "33": t, "34": o,
             "41": W1, "42": W1, "43": W1, "5": t,
         }
-        return _diagram_from_shape(_SHAPE_24, nodes, 5)
-    if l.family == "P48oct":
-        w3 = _oct_at("W3", 2 + k)
-        w3b = _oct_at("W3bar", 2 + k)
-        nodes = {
-            "1": W1,
-            "21": w3b, "22": w3, "23": w3, "24": w3b, "25": w3b, "26": w3,
-            "31": W1, "32": W1, "33": W1, "34": (W1, 4), "35": W1, "36": W1, "37": W1,
-            "41": w3b, "42": w3, "43": w3, "44": w3b, "45": w3b, "46": w3,
-            "5": W1,
-        }
-        return _diagram_from_shape(_SHAPE_48, nodes, 5)
-    raise ValueError(f"no stated diagram for the irreducible {l!r}")
+        return shape_diagram("cover24", nodes)
+    # P48oct
+    w3 = _oct_at("W3", 2 + k)
+    w3b = _oct_at("W3bar", 2 + k)
+    nodes = {
+        "1": W1,
+        "21": w3b, "22": w3, "23": w3, "24": w3b, "25": w3b, "26": w3,
+        "31": W1, "32": W1, "33": W1, "34": (W1, 4), "35": W1, "36": W1, "37": W1,
+        "41": w3b, "42": w3, "43": w3, "44": w3b, "45": w3b, "46": w3,
+        "5": W1,
+    }
+    return shape_diagram("cover48", nodes)
 
 
 def oct_loewy_transport(l):
@@ -1000,4 +949,4 @@ def oct_loewy_transport(l):
             diag,
             lambda x: oct_induce(from_quantum(ModuleLabel("L", x.weight))),
         )
-    raise ValueError(f"no transported diagram for the irreducible {l!r}")
+    raise UnsupportedCase(f"no transported diagram for the irreducible {l!r}")

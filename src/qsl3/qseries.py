@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .exact import fmt_rat
 from .repmod import Character
-from .weights import ZERO, killing
+from .weights import ZERO, killing, lattice_member
 
 # central charge of the affine algebra the coset decomposes
 CENTRAL_CHARGE = Fraction(-8)
@@ -241,8 +241,12 @@ def standard_char_identity(mu, omega, order, cutoff):
     weights (a window in mu + Q): the left side uses a single 1/eta^4
     with explicit q- and z-shifts, the right side multiplies the coset
     and Fock factors.  Returns a report with the comparison window.
+    Raises ValueError on a window weight outside mu + Q.
     """
     cutoff = list(cutoff)
+    for lam in cutoff:
+        if not lattice_member(lam, "Q", base=mu):
+            raise ValueError(f"window weight {lam!r} is not in {mu!r} + Q")
     if not cutoff:
         return {"match": True, "terms": 0, "window": None, "vacuous": True}
     shift = -Fraction(3, 2) * omega

@@ -244,13 +244,20 @@ def irreducible_character(lam):
             + z(lam - 2 * ALPHA3)
         )
     if cls.tag == "atyp1":
-        jk = [i for i in (1, 2, 3) if i != cls.i]
-        j, k = jk
-        return z(lam) + z(lam - ALPHA[j]) + z(lam - ALPHA[k]) + z(lam - ALPHA[j] - ALPHA[k])
+        return atyp1_character(lam, cls.i)
     if cls.tag == "atyp2-root3-odd":
         j = 3 - cls.i  # the typical index among {1,2}
         return z(lam) + z(lam - ALPHA[j]) + z(lam - ALPHA3)
     return z(lam)
+
+
+def atyp1_character(lam, i):
+    """z^lam (1 + z^-alpha_j)(1 + z^-alpha_k) with {i, j, k} = {1, 2, 3}: the
+    character of L_lam when lam is atypical of degree one with odd index i."""
+    j, k = (m for m in (1, 2, 3) if m != i)
+    return Character({
+        lam: 1, lam - ALPHA[j]: 1, lam - ALPHA[k]: 1, lam - ALPHA[j] - ALPHA[k]: 1,
+    })
 
 
 def character(v):

@@ -35,6 +35,9 @@ class UnsupportedCase(Exception):
 
 
 FAMILIES = ("L", "M", "P", "K", "R", "S", "Q")
+# the typicality class of the head weight of each fixed-dimension family
+_HEAD_CLASS = {"K": "atyp2-root3-odd", "Q": "atyp2-root3-odd",
+               "R": "atyp2-root3-even", "S": "atyp2-root3-even"}
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,9 @@ class ModuleLabel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        need = _HEAD_CLASS.get(self.family)
+        if need and classify(self.weight).tag != need:
+            raise ValueError(f"a {self.family} label needs a {need} weight, not {self.weight!r}")
 
     @property
     def dim(self):
@@ -414,176 +420,167 @@ def _mklayer(labels):
     return sorted(out.values(), key=lambda t: t[0].sort_key())
 
 
+# The shape of every stated diagram, on the quantum side and on the coset,
+# affine and octuplet sides it is transported to.  The first digit of a
+# node's name is its layer; an arrow (a, b) under a tag runs from node a to
+# node b one layer below.
+
+SHAPES = {
+    # irreducible
+    "point": {},
+    # atypical Verma of degree one
+    "verma": {"other": [("1", "2")]},
+    # the other Vermas, and the R modules, whose bottom is their top
+    "diamond": {"other": [("1", "21"), ("1", "22"), ("21", "3"), ("22", "3")]},
+    # Q: three middle nodes, bottom equal to top
+    "loop": {
+        "other": [("1", "21"), ("1", "22"), ("1", "23"), ("21", "3"), ("22", "3"), ("23", "3")],
+    },
+    # K and S: two heads, each with a private middle node and two shared ones
+    "twin": {
+        "other": [
+            ("11", "21"), ("11", "22"), ("11", "23"), ("12", "22"), ("12", "23"), ("12", "24"),
+            ("21", "31"), ("22", "31"), ("22", "32"), ("23", "31"), ("23", "32"), ("24", "32"),
+        ],
+    },
+    # the 16-dimensional projective cover
+    "square": {
+        "standard": [("1", "21"), ("22", "3")],
+        "costandard": [("1", "22"), ("21", "3")],
+    },
+    # the 24-dimensional projective cover
+    "cover24": {
+        "standard": [
+            ("1", "22"), ("1", "23"), ("22", "34"), ("23", "34"),
+            ("21", "32"), ("21", "33"), ("32", "43"), ("33", "43"),
+            ("31", "41"), ("31", "42"), ("41", "5"), ("42", "5"),
+        ],
+        "costandard": [
+            ("1", "21"), ("21", "31"), ("22", "31"), ("23", "32"), ("23", "33"),
+            ("32", "41"), ("33", "41"), ("34", "42"), ("34", "43"), ("43", "5"),
+        ],
+        "other": [("22", "33"), ("33", "42")],
+    },
+    # the 48-dimensional projective cover
+    "cover48": {
+        "standard": [
+            ("1", "25"), ("1", "26"), ("25", "37"), ("26", "37"),
+            ("21", "32"), ("21", "34"), ("32", "43"), ("34", "43"),
+            ("22", "33"), ("22", "34"), ("33", "44"), ("34", "44"),
+            ("23", "34"), ("23", "35"), ("34", "45"), ("35", "45"),
+            ("24", "34"), ("24", "36"), ("34", "46"), ("36", "46"),
+            ("31", "41"), ("31", "42"), ("41", "5"), ("42", "5"),
+        ],
+        "costandard": [
+            ("1", "21"), ("1", "22"), ("21", "31"), ("22", "31"),
+            ("23", "32"), ("32", "41"), ("34", "41"),
+            ("24", "33"), ("33", "42"), ("34", "42"),
+            ("25", "34"), ("25", "35"), ("35", "43"),
+            ("26", "34"), ("26", "36"), ("36", "44"),
+            ("37", "45"), ("37", "46"), ("45", "5"), ("46", "5"),
+        ],
+        "other": [("1", "23"), ("1", "24"), ("43", "5"), ("44", "5")],
+    },
+    # the nine-dimensional octuplet loop: the middle node has multiplicity 3
+    "loop9": {
+        "standard": [("1", "2"), ("2", "3")],
+        "costandard": [("1", "2"), ("2", "3")],
+        "other": [("2", "3")],
+    },
+}
+
+
+def shape_diagram(shape, nodes):
+    """The diagram of the named shape with its nodes set to labels.
+
+    nodes: {node name: label or (label, mult)}, one entry per node of the
+    shape; the first digit of a name is the node's layer.
+    """
+    nodes = {name: lm if isinstance(lm, tuple) else (lm, 1) for name, lm in nodes.items()}
+    depth = max(int(name[0]) for name in nodes)
+    layers = [
+        _mklayer([lm for name, lm in nodes.items() if int(name[0]) == j])
+        for j in range(1, depth + 1)
+    ]
+    arrows = {
+        (int(a[0]), repr(nodes[a][0]), repr(nodes[b][0]), tag)
+        for tag, pairs in SHAPES[shape].items()
+        for a, b in pairs
+    }
+    return LoewyDiagram(layers, arrows)
+
+
 def static_loewy(label):
     """The parametric Loewy diagram of the cited figure, instantiated."""
     lam = label.weight
     cls = classify(lam)
     L = lambda w: ModuleLabel("L", w)
     al = ALPHA
-    if label.family in ("L",) or (label.family in ("M", "P") and cls.tag == "typical"):
-        return LoewyDiagram([_mklayer([L(lam)])], set())
+    i = cls.i
+    if label.family == "L" or (label.family in ("M", "P") and cls.tag == "typical"):
+        return shape_diagram("point", {"1": L(lam)})
+    if label.family == "M" and cls.tag == "atyp1":
+        return shape_diagram("verma", {"1": L(lam), "2": L(lam - al[i])})
+    if label.family == "M" and cls.tag == "atyp2-root3-odd":
+        return shape_diagram("diamond", {
+            "1": L(lam), "21": L(lam - al[i]), "22": L(lam + al[i] - 2 * al[3]),
+            "3": L(lam - al[3]),
+        })
     if label.family == "M":
-        if cls.tag == "atyp1":
-            i = cls.i
-            layers = [[L(lam)], [L(lam - al[i])]]
-            arrows = {(1, repr(L(lam)), repr(L(lam - al[i])), "other")}
-        elif cls.tag == "atyp2-root3-odd":
-            i = cls.i
-            t, b = L(lam), L(lam - al[3])
-            m1, m2 = L(lam - al[i]), L(lam + al[i] - 2 * al[3])
-            layers = [[t], [m1, m2], [b]]
-            arrows = {
-                (1, repr(t), repr(m1), "other"), (1, repr(t), repr(m2), "other"),
-                (2, repr(m1), repr(b), "other"), (2, repr(m2), repr(b), "other"),
-            }
-        else:
-            t, b = L(lam), L(lam - 2 * al[3])
-            m1, m2 = L(lam - al[1]), L(lam - al[2])
-            layers = [[t], [m1, m2], [b]]
-            arrows = {
-                (1, repr(t), repr(m1), "other"), (1, repr(t), repr(m2), "other"),
-                (2, repr(m1), repr(b), "other"), (2, repr(m2), repr(b), "other"),
-            }
-        return LoewyDiagram([_mklayer(x) for x in layers], arrows)
+        return shape_diagram("diamond", {
+            "1": L(lam), "21": L(lam - al[1]), "22": L(lam - al[2]), "3": L(lam - 2 * al[3]),
+        })
+    if label.family == "P" and cls.tag == "atyp1":
+        return shape_diagram("square", {
+            "1": L(lam), "21": L(lam - al[i]), "22": L(lam + al[i]), "3": L(lam),
+        })
+    if label.family == "P" and cls.tag == "atyp2-root3-odd":
+        return shape_diagram("cover24", {
+            "1": L(lam),
+            "21": L(lam + al[i]), "22": L(lam - al[i]), "23": L(lam + al[i] - 2 * al[3]),
+            "31": L(lam + al[3]), "32": L(lam + 2 * al[i] - al[3]),
+            "33": L(lam), "34": L(lam - al[3]),
+            "41": L(lam + al[i]), "42": L(lam - al[i]), "43": L(lam + al[i] - 2 * al[3]),
+            "5": L(lam),
+        })
     if label.family == "P":
-        return _static_proj(lam, cls)
+        # 48-dimensional projective; the four middle copies of L(lam) are
+        # collapsed into a single multiplicity-4 node, as in the source figure
+        return shape_diagram("cover48", {
+            "1": L(lam),
+            "21": L(lam + al[2] + al[3]), "22": L(lam + al[1] + al[3]), "23": L(lam + al[2]),
+            "24": L(lam + al[1]), "25": L(lam - al[1]), "26": L(lam - al[2]),
+            "31": L(lam + 2 * al[3]), "32": L(lam + 2 * al[2]), "33": L(lam + 2 * al[1]),
+            "34": (L(lam), 4),
+            "35": L(lam - 2 * al[1]), "36": L(lam - 2 * al[2]), "37": L(lam - 2 * al[3]),
+            "41": L(lam + al[2] + al[3]), "42": L(lam + al[1] + al[3]), "43": L(lam + al[2]),
+            "44": L(lam + al[1]), "45": L(lam - al[1]), "46": L(lam - al[2]),
+            "5": L(lam),
+        })
     if label.family == "Q":
-        assert cls.tag == "atyp2-root3-odd", "Q requires a 3-dim head weight"
-        i = cls.i
-        t = L(lam)
-        mids = [L(lam + al[i]), L(lam - al[i]), L(lam + al[i] - 2 * al[3])]
-        arrows = set()
-        for m in mids:
-            arrows.add((1, repr(t), repr(m), "other"))
-            arrows.add((2, repr(m), repr(t), "other"))
-        return LoewyDiagram([_mklayer([t]), _mklayer(mids), _mklayer([t])], arrows)
+        return shape_diagram("loop", {
+            "1": L(lam),
+            "21": L(lam + al[i]), "22": L(lam - al[i]), "23": L(lam + al[i] - 2 * al[3]),
+            "3": L(lam),
+        })
     if label.family == "K":
-        assert cls.tag == "atyp2-root3-odd", "K requires a 3-dim head weight"
-        i = cls.i
-        t1, t2 = L(lam), L(lam - al[3])
-        mids = [L(lam + al[i]), L(lam - al[i]), L(lam + al[i] - 2 * al[3]), L(lam - al[i] - 2 * al[3])]
-        arrows = set()
-        for m in (mids[1], mids[2]):
-            arrows.add((1, repr(t1), repr(m), "other"))
-            arrows.add((1, repr(t2), repr(m), "other"))
-            arrows.add((2, repr(m), repr(t1), "other"))
-            arrows.add((2, repr(m), repr(t2), "other"))
-        arrows.add((1, repr(t1), repr(mids[0]), "other"))
-        arrows.add((2, repr(mids[0]), repr(t1), "other"))
-        arrows.add((1, repr(t2), repr(mids[3]), "other"))
-        arrows.add((2, repr(mids[3]), repr(t2), "other"))
-        return LoewyDiagram([_mklayer([t1, t2]), _mklayer(mids), _mklayer([t1, t2])], arrows)
+        return shape_diagram("twin", {
+            "11": L(lam), "12": L(lam - al[3]),
+            "21": L(lam + al[i]), "22": L(lam - al[i]),
+            "23": L(lam + al[i] - 2 * al[3]), "24": L(lam - al[i] - 2 * al[3]),
+            "31": L(lam), "32": L(lam - al[3]),
+        })
     if label.family == "R":
-        assert cls.tag == "atyp2-root3-even", "R requires a 1-dim head weight"
         j = label.variant or 1
-        t = L(lam)
-        mids = [L(lam + al[j] + al[3]), L(lam - al[j])]
-        arrows = set()
-        for m in mids:
-            arrows.add((1, repr(t), repr(m), "other"))
-            arrows.add((2, repr(m), repr(t), "other"))
-        return LoewyDiagram([_mklayer([t]), _mklayer(mids), _mklayer([t])], arrows)
-    if label.family == "S":
-        assert cls.tag == "atyp2-root3-even", "S requires 1-dim-class weight"
-        t1, t2 = L(lam - al[1]), L(lam - al[2])
-        m_a, m_b = L(lam - 2 * al[1]), L(lam - 2 * al[2])
-        m_c, m_d = L(lam), L(lam - 2 * al[3])
-        arrows = set()
-        for m in (m_c, m_d):
-            arrows.add((1, repr(t1), repr(m), "other"))
-            arrows.add((1, repr(t2), repr(m), "other"))
-            arrows.add((2, repr(m), repr(t1), "other"))
-            arrows.add((2, repr(m), repr(t2), "other"))
-        arrows.add((1, repr(t1), repr(m_a), "other"))
-        arrows.add((2, repr(m_a), repr(t1), "other"))
-        arrows.add((1, repr(t2), repr(m_b), "other"))
-        arrows.add((2, repr(m_b), repr(t2), "other"))
-        return LoewyDiagram(
-            [_mklayer([t1, t2]), _mklayer([m_a, m_c, m_d, m_b]), _mklayer([t1, t2])], arrows
-        )
-    raise ValueError(f"no static diagram for {label!r}")
-
-
-def _static_proj(lam, cls):
-    L = lambda w: ModuleLabel("L", w)
-    al = ALPHA
-    if cls.tag == "atyp1":
-        i = cls.i
-        t, b = L(lam), L(lam)
-        lft, rgt = L(lam - al[i]), L(lam + al[i])
-        layers = [[t], [lft, rgt], [b]]
-        arrows = {
-            (1, repr(t), repr(lft), "standard"),
-            (1, repr(t), repr(rgt), "costandard"),
-            (2, repr(lft), repr(b), "costandard"),
-            (2, repr(rgt), repr(b), "standard"),
-        }
-        return LoewyDiagram([_mklayer(x) for x in layers], arrows)
-    if cls.tag == "atyp2-root3-odd":
-        i = cls.i
-        n1 = L(lam)
-        n21, n22, n23 = L(lam + al[i]), L(lam - al[i]), L(lam + al[i] - 2 * al[3])
-        n31, n32 = L(lam + al[3]), L(lam + 2 * al[i] - al[3])
-        n33, n34 = L(lam), L(lam - al[3])
-        n41, n42, n43 = n21, n22, n23
-        n5 = L(lam)
-        layers = [[n1], [n21, n22, n23], [n31, n32, n33, n34], [n41, n42, n43], [n5]]
-        red = [
-            (1, n1, n22), (1, n1, n23), (2, n22, n34), (2, n23, n34),
-            (2, n21, n32), (2, n21, n33), (3, n32, n43), (3, n33, n43),
-            (3, n31, n41), (3, n31, n42), (4, n41, n5), (4, n42, n5),
-        ]
-        blue = [
-            (1, n1, n21), (2, n21, n31), (2, n22, n31), (2, n23, n32), (2, n23, n33),
-            (3, n32, n41), (3, n33, n41), (3, n34, n42), (3, n34, n43), (4, n43, n5),
-        ]
-        green = [(2, n22, n33), (3, n33, n42)]
-        arrows = (
-            {(j, repr(a), repr(b), "standard") for j, a, b in red}
-            | {(j, repr(a), repr(b), "costandard") for j, a, b in blue}
-            | {(j, repr(a), repr(b), "other") for j, a, b in green}
-        )
-        return LoewyDiagram([_mklayer(x) for x in layers], arrows)
-    # 48-dimensional projective; the four middle copies of L(lam) are
-    # collapsed into a single multiplicity-4 node, as in the source figure
-    n1 = L(lam)
-    n21, n22 = L(lam + al[2] + al[3]), L(lam + al[1] + al[3])
-    n23, n24 = L(lam + al[2]), L(lam + al[1])
-    n25, n26 = L(lam - al[1]), L(lam - al[2])
-    n31, n32, n33 = L(lam + 2 * al[3]), L(lam + 2 * al[2]), L(lam + 2 * al[1])
-    n34 = L(lam)  # multiplicity 4, collapsed
-    n35, n36, n37 = L(lam - 2 * al[1]), L(lam - 2 * al[2]), L(lam - 2 * al[3])
-    n5 = L(lam)
-    layers = [
-        [n1],
-        [n21, n22, n23, n24, n25, n26],
-        [n31, n32, n33, (n34, 4), n35, n36, n37],
-        [n21, n22, n23, n24, n25, n26],
-        [n5],
-    ]
-    red = [
-        (1, n1, n25), (1, n1, n26), (2, n25, n37), (2, n26, n37),
-        (2, n21, n32), (2, n21, n34), (3, n32, n23), (3, n34, n23),
-        (2, n22, n33), (2, n22, n34), (3, n33, n24), (3, n34, n24),
-        (2, n23, n34), (2, n23, n35), (3, n34, n25), (3, n35, n25),
-        (2, n24, n34), (2, n24, n36), (3, n34, n26), (3, n36, n26),
-        (3, n31, n21), (3, n31, n22), (4, n21, n5), (4, n22, n5),
-    ]
-    blue = [
-        (1, n1, n21), (1, n1, n22), (2, n21, n31), (2, n22, n31),
-        (2, n23, n32), (3, n32, n21), (3, n34, n21),
-        (2, n24, n33), (3, n33, n22), (3, n34, n22),
-        (2, n25, n34), (2, n25, n35), (3, n35, n23),
-        (2, n26, n34), (2, n26, n36), (3, n36, n24),
-        (3, n37, n25), (3, n37, n26), (4, n25, n5), (4, n26, n5),
-    ]
-    green = [(1, n1, n23), (1, n1, n24), (4, n23, n5), (4, n24, n5)]
-    arrows = (
-        {(j, repr(a), repr(b), "standard") for j, a, b in red}
-        | {(j, repr(a), repr(b), "costandard") for j, a, b in blue}
-        | {(j, repr(a), repr(b), "other") for j, a, b in green}
-    )
-    return LoewyDiagram([_mklayer(x) for x in layers], arrows)
+        return shape_diagram("diamond", {
+            "1": L(lam), "21": L(lam + al[j] + al[3]), "22": L(lam - al[j]), "3": L(lam),
+        })
+    # S
+    return shape_diagram("twin", {
+        "11": L(lam - al[1]), "12": L(lam - al[2]),
+        "21": L(lam - 2 * al[1]), "22": L(lam), "23": L(lam - 2 * al[3]), "24": L(lam - 2 * al[2]),
+        "31": L(lam - al[1]), "32": L(lam - al[2]),
+    })
 
 
 def static_char(label):

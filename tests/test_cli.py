@@ -4,7 +4,9 @@ import json
 from importlib.resources import files
 
 import jsonschema
+import pytest
 
+from qsl3 import cli, kl
 from qsl3.cli import main
 from qsl3.rules import ModuleLabel
 
@@ -55,6 +57,13 @@ def test_field_order_env(capsys, monkeypatch):
     monkeypatch.setenv("QSL3_FIELD_ORDER", "24")
     obj = run_json(capsys, "irrep", "--weight", "[1,1]", "--json")
     assert obj["field_order"] == 24
+
+
+def test_a_field_order_that_cannot_hold_the_weight_exits_2(capsys, monkeypatch):
+    for order, weight in (("6", "[1,0]"), ("4", "[1/3,0]"), ("x", "[1,0]")):
+        monkeypatch.setenv("QSL3_FIELD_ORDER", order)
+        code, _, err = run(capsys, "irrep", "--weight", weight)
+        assert code == 2 and "usage error" in err, (order, weight)
 
 
 def test_tensor_with_verification(capsys):
@@ -167,3 +176,43 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "kl", "to-quantum", "--label", "I1[1/2,0]")
     assert code == 2  # weight not in the root lattice
+
+
+def test_gfuse_check_rule_5_passes_at_degenerate_sums(capsys):
+    # these seeds draw rule-5 pairs whose parameters sum to an integer
+    for seed in (1, 3, 4, 5, 7, 9):
+        code, out, err = run(capsys, "gfuse-check", "--rule", "5", "--samples", "10",
+                             "--seed", str(seed))
+        assert code == 0, err
+        assert out.count("PASS") == 10
+
+
+def test_inputs_outside_the_stated_cases_exit_2(capsys):
+    for argv in (
+        ("classify", "--weight", "[1/0,1]"),
+        ("loewy", "--label", "K(16)[0,0]"),
+        ("loewy", "--label", "R[1/5,2/5]"),
+        ("octuplet", "loewy", "--label", "W1[0,0]"),
+        ("tensor", "--left", "P(8)[1,1]", "--right", "L(8)[1,1]"),
+        ("kl", "from-quantum", "--label", "Q(9)[0,1]"),
+        ("fuse", "--left", "sf(1)*L", "--right", "L"),
+        ("qchar", "--family", "8", "--weight", "[1,0]", "--order", "0"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "usage error" in err, argv
+
+
+@pytest.mark.parametrize("target, name, fault, argv", [
+    (cli, "classify", ValueError("fault"), ("classify", "--weight", "[1,1]")),
+    (kl, "affine_fuse", KeyError("fault"), ("fuse", "--left", "L", "--right", "c*L")),
+    (kl, "grothendieck_check", kl.InvalidCosetWeight("fault"),
+     ("gfuse-check", "--rule", "4", "--samples", "1")),
+])
+def test_an_internal_fault_exits_3(capsys, monkeypatch, target, name, fault, argv):
+    def raise_fault(*args):
+        raise fault
+
+    monkeypatch.setattr(target, name, raise_fault)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "internal error" in err and "usage error" not in err

@@ -1,5 +1,6 @@
 """Every name a source or test file imports is read somewhere in that file,
-and every top-level function and class of `src` is read somewhere."""
+and every top-level function, class and assignment of `src` is read
+somewhere."""
 
 import ast
 from collections import defaultdict
@@ -56,13 +57,29 @@ def read_names(node):
     return out
 
 
+def defined_names(stmt):
+    """The names a top-level statement defines: a function or class, or the
+    targets of an assignment; dunder names such as `__all__` are exempt."""
+    if isinstance(stmt, DEFINITIONS):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def unread_definitions(defining, readers):
-    """(file, name) of each top-level function or class of the files in
-    `defining` that no file of `readers` ({file: source}) reads outside its
-    own definition.  A file that defines a top-level name itself reads its
-    own, so a test-local copy of a function does not keep the original."""
+    """(file, name) of each top-level function, class or assigned name of
+    the files in `defining` that no file of `readers` ({file: source}) reads
+    outside its own definition.  A file that defines a top-level name itself
+    reads its own, so a test-local copy of a function does not keep the
+    original."""
     trees = {path: ast.parse(text) for path, text in readers.items()}
-    own = {path: {n.name for n in tree.body if isinstance(n, DEFINITIONS)} for path, tree in trees.items()}
+    own = {path: {n for stmt in tree.body for n in defined_names(stmt)} for path, tree in trees.items()}
     where = defaultdict(set)  # name -> {(file, index of the top-level statement)}
     for path, tree in trees.items():
         for k, stmt in enumerate(tree.body):
@@ -73,10 +90,11 @@ def unread_definitions(defining, readers):
         return any((p, j) != (path, k) and (p == path or name not in own[p]) for p, j in where[name])
 
     return [
-        (path, node.name)
+        (path, name)
         for path in sorted(defining)
-        for k, node in enumerate(trees[path].body)
-        if isinstance(node, DEFINITIONS) and not read_elsewhere(path, k, node.name)
+        for k, stmt in enumerate(trees[path].body)
+        for name in defined_names(stmt)
+        if not read_elsewhere(path, k, name)
     ]
 
 
@@ -84,6 +102,12 @@ def test_unread_definitions_are_found():
     lib = "def used():\n    pass\n\ndef dead():\n    return dead()\n\nclass Gone:\n    pass\n"
     user = "import lib\nlib.used()\n\ndef Gone():\n    pass\n\nGone()\n"
     assert unread_definitions({"lib"}, {"lib": lib, "user": user}) == [("lib", "dead"), ("lib", "Gone")]
+
+
+def test_unread_assignments_are_found():
+    lib = "__all__ = ['f']\nA, B = 1, 2\nC: int = 3\nUSED = 4\nprint(A)\n"
+    user = "import lib\nlib.USED\nC = 5\nprint(C)\n"
+    assert unread_definitions({"lib"}, {"lib": lib, "user": user}) == [("lib", "B"), ("lib", "C")]
 
 
 def test_every_top_level_definition_in_src_is_read():

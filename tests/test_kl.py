@@ -449,3 +449,25 @@ def test_oct_layers_by_transport():
             stated = oct_static_loewy(l)
             transported = oct_loewy_transport(l)
             assert stated.layer_lists() == transported.layer_lists(), repr(l)
+
+
+def test_standard_factors_on_one_line_are_the_module_itself():
+    for line, weight in ((1, line1_weight), (2, line2_weight), (3, line3_weight)):
+        for t in (Fraction(1, 5), Fraction(2, 7), Fraction(6, 5)):
+            w = weight(t)
+            e = AffineLabel.make("E", kl._LINE_DECOR[line], w, OMEGA1)
+            assert kl._E_factors(line, w, OMEGA1) == {e: 1}, (line, t)
+
+
+def test_grothendieck_rule_5_at_degenerate_sums():
+    # an integer or half-integer t1 + t2 puts both standard terms of the
+    # rule on a second atypical line, where they are reducible
+    E = lambda t: AffineLabel.make("E", "", line1_weight(t))
+    for t1, t2 in ((Fraction(1, 5), Fraction(4, 5)), (Fraction(1, 3), Fraction(2, 3)),
+                   (Fraction(1, 4), Fraction(1, 4)), (Fraction(2, 5), Fraction(1, 10))):
+        s = E(t1).param + E(t2).param
+        assert len(atypical_lines(s + H32 * OMEGA1)) == 2
+        rep = grothendieck_check(E(t1), E(t2))
+        assert rep["rule"] == 5
+        assert rep["match"], (t1, t2, rep["only_lhs"], rep["only_rhs"])
+        assert rep["rhs"] != {}

@@ -195,3 +195,9 @@ def test_standard_char_identity_windows():
 def test_standard_char_identity_empty_window_is_vacuous():
     report = standard_char_identity(W(0, 0), ZERO, 5, [])
     assert report["vacuous"] and report["match"] and report["terms"] == 0
+
+
+def test_standard_char_identity_rejects_a_window_off_mu_plus_q():
+    mu = W(Fraction(1, 5), Fraction(2, 5))
+    with pytest.raises(ValueError):
+        standard_char_identity(mu, ZERO, 5, [mu, mu + OMEGA1])  # omega1 is not in Q
